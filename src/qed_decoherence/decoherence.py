@@ -33,19 +33,21 @@ def log_sqrt_one_plus_sq(tau: float) -> float:
 
 
 def log_sinhc(x: float) -> float:
-    """ln[sinh(x)/x], overflow-safe.
+    """ln[sinh(x)/x], overflow-safe and accurate to a few ulp for all x >= 0.
 
-    x - ln(2x) + ln(1 - e^-2x) for large x; x^2/6 - x^4/180 + x^6/2835 series
-    for small x (x = t/tau_F reaches 1e6 in late-time scans, and sinh itself
-    overflows past x ~ 710).
+    log1p of the series sinh(x)/x - 1 = x^2/3! + x^4/5! + ... (through x^18/19!,
+    truncation below 1e-19 relative) for x < 1, where ln of sinh(x)/x ~ 1 would
+    cancel; x - ln(2x) + ln(1 - e^-2x) for large x (x = t/tau_F reaches 1e6 in
+    late-time scans, and sinh itself overflows past x ~ 710).
     """
     if x < 0.0:
         raise DomainError("log_sinhc domain is x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < 1e-3:
+    if x < 1.0:
         x2 = x * x
-        return x2 / 6.0 - x2 * x2 / 180.0 + x2 * x2 * x2 / 2835.0
+        s = x2 * (1 / 6 + x2 * (1 / 120 + x2 * (1 / 5040 + x2 * (1 / 362880 + x2 * (
+            1 / 39916800 + x2 * (1 / 6227020800 + x2 * (1 / 1307674368000 + x2 * (
+                1 / 355687428096000 + x2 / 121645100408832000))))))))
+        return math.log1p(s)
     if x > 20.0:
         return x - math.log(2.0 * x) + math.log1p(-math.exp(-2.0 * x))
     return math.log(math.sinh(x) / x)

@@ -15,6 +15,20 @@ All quantities in internal units: momenta in m0 c, positions in hbar/(m0 c),
 hbar = 1. The 3-D matrices factorize into identical per-axis 1-D pieces; 1-D
 mode is primary (it is what the figure data uses), 3-D is the product of the
 per-axis factors. Grids are always chosen by the caller.
+
+On a 1-D grid x both representations have the factored form
+
+    rho_ij = N v_i M_ij conj(v_j),
+    M_ij = exp(-a [(x_i - c)^2 + (x_j - c)^2] - g (x_i - x_j)^2),   v_i = exp(i theta_i),
+
+with M real and symmetric and the phase separable (theta = Phi p^2 - r0 p in
+the momentum representation). `rho_p_matrix` and `rho_r_matrix` build it
+with N^2 real exponentials, evaluated in place, and N complex ones. M is
+built from -g (x_i - x_j)^2 as it stands: splitting it into
+exp(-g x_i^2) exp(2 g x_i x_j) exp(-g x_j^2) would overflow once g x^2
+passes ~709 (late times, large Gamma) and cancel catastrophically before
+that. The scalar element functions evaluate the closed forms term by term
+and stay the independent references the grids are tested against.
 """
 
 from __future__ import annotations
@@ -195,22 +209,41 @@ def element(rep: str, a, b, packet: GaussianPacket,
 # vectorized 1-D grids (the figure and oracle workhorses)
 # ---------------------------------------------------------------------------
 
+def _factored_grid(x: np.ndarray, norm: float, a: float, c: float, g: float,
+                   phase2: float, phase1: float) -> np.ndarray:
+    """norm v_i M_ij conj(v_j) on the grid x (see the module docstring), with
+    M_ij = exp(-a[(x_i-c)^2 + (x_j-c)^2] - g (x_i-x_j)^2) and
+    v = exp(i theta), theta = phase2 x^2 + phase1 x.
+
+    theta is taken about c, where the packet sits: the constant theta(c)
+    cancels in v_i conj(v_j), and the rest grows with x - c rather than with
+    x, so a packet far from the origin (a drifted coordinate grid) costs no
+    phase accuracy. The result is Hermitian to rounding.
+    """
+    u = x - c
+    env = a * u**2
+    m = np.subtract.outer(x, x)
+    np.square(m, out=m)
+    m *= g
+    np.subtract(-env[:, None], m, out=m)
+    m -= env[None, :]
+    np.exp(m, out=m)
+    w = math.sqrt(norm) * np.exp(1j * u * (phase2 * u + (2.0 * phase2 * c + phase1)))
+    out = np.multiply.outer(w, w.conj())
+    out *= m
+    # populations are real; the complex products leave ~1e-17 rounding there
+    np.fill_diagonal(out.imag, 0.0)
+    return out
+
+
 def rho_p_matrix(p_grid: np.ndarray, packet: GaussianPacket,
                  factors: DecoherenceFactors) -> np.ndarray:
     """Full (N, N) momentum matrix rho(p_i, p_j) on a 1-D grid."""
     if packet.dims != 1:
         raise DomainError("rho_p_matrix is 1-D only")
-    p = np.asarray(p_grid, dtype=float)
-    pi = p[:, None]
-    pj = p[None, :]
-    p0 = packet.p0[0]
-    r0 = packet.r0[0]
-    expo = (
-        -3.0 * ((pi - p0) ** 2 + (pj - p0) ** 2) / (4.0 * packet.delta_p**2)
-        - factors.gamma * (pi - pj) ** 2
-    )
-    phase = factors.phi * (pi**2 - pj**2) - r0 * (pi - pj)
-    return packet.norm * np.exp(expo + 1j * phase)
+    return _factored_grid(np.asarray(p_grid, dtype=float), packet.norm,
+                          0.75 / packet.delta_p**2, packet.p0[0], factors.gamma,
+                          factors.phi, -packet.r0[0])
 
 
 def rho_r_matrix(q_grid: np.ndarray, packet: GaussianPacket,
@@ -218,23 +251,14 @@ def rho_r_matrix(q_grid: np.ndarray, packet: GaussianPacket,
     """Full (N, N) coordinate matrix rho(q_i, q_j) on a 1-D displacement grid."""
     if packet.dims != 1:
         raise DomainError("rho_r_matrix is 1-D only")
-    q = np.asarray(q_grid, dtype=float)
-    qi = q[:, None]
-    qj = q[None, :]
     p0 = packet.p0[0]
-    dr2 = packet.delta_r**2
     wt2 = width_t(packet, factors) ** 2
-    qc = -2.0 * factors.phi * p0
     scale = packet.delta_p**2 / wt2
-    pref = packet.norm * packet.delta_p / math.sqrt(wt2)
-    expo = (
-        -3.0 * ((qi - qc) ** 2 + (qj - qc) ** 2) / (4.0 * wt2)
-        - scale * factors.gamma * (qi - qj) ** 2
-    )
-    phase = (dr2 + 6.0 * factors.gamma) / wt2 * p0 * (qi - qj) - scale * factors.phi * (
-        qi**2 - qj**2
-    )
-    return pref * np.exp(expo + 1j * phase)
+    return _factored_grid(np.asarray(q_grid, dtype=float),
+                          packet.norm * packet.delta_p / math.sqrt(wt2), 0.75 / wt2,
+                          -2.0 * factors.phi * p0, scale * factors.gamma,
+                          -scale * factors.phi,
+                          (packet.delta_r**2 + 6.0 * factors.gamma) / wt2 * p0)
 
 
 def grid_trace(grid: np.ndarray, matrix: np.ndarray) -> float:

@@ -12,6 +12,7 @@ The oracles never call the closed forms they check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -416,12 +417,15 @@ def run_all(params: ModelParams, t_grid_seconds, spec: QuadratureSpec = DEFAULT_
                                          math.inf, tol, 0, False, f"error: {exc}"))
         reports.append(_worst(rows))
 
+    # the vacuum factor and the photon number share one frequency integral:
+    # integrate it once per tau and check both closed forms against it
+    quad_vac = functools.lru_cache(maxsize=None)(lambda tau: quad_gamma_vac(tau, spec))
     gather("gamma_vac", decoherence.log_sqrt_one_plus_sq,
-           lambda tau: quad_gamma_vac(tau, spec), ORACLE_CHECKS["gamma_vac"][1], taus)
+           quad_vac, ORACLE_CHECKS["gamma_vac"][1], taus)
     gather("phase_xi", decoherence.tau_minus_arctan,
            lambda tau: quad_phase(tau, spec), ORACLE_CHECKS["phase_xi"][1], taus)
     gather("photon_number", lambda tau: math.log1p(tau * tau) / 2.0,
-           lambda tau: quad_photon(tau, spec), ORACLE_CHECKS["photon_number"][1], taus)
+           quad_vac, ORACLE_CHECKS["photon_number"][1], taus)
     gather("field_energy", decoherence.lorentz_weight,
            lambda tau: quad_field_energy(tau, spec), ORACLE_CHECKS["field_energy"][1], taus)
     if params.temperature > 0.0:
@@ -476,11 +480,26 @@ def run_all(params: ModelParams, t_grid_seconds, spec: QuadratureSpec = DEFAULT_
 
 
 def fig3_time(params: ModelParams) -> float:
-    """t = 3 tau_vac at dp = delta_p, the decohered panel of the density-matrix figure."""
+    """t = 3 tau_vac at dp = delta_p, the decohered panel of the density-matrix figure.
+
+    tau_vac grows like exp[(3 pi / 2 alpha)(m0 c / delta_p)^2], so at small
+    alpha delta_p^2 the time, or the factors at it, overflow; that is a
+    DomainError, never a panel of NaN.
+    """
     from .params import vacuum_decoherence_time
 
-    tau_vac, _ = vacuum_decoherence_time(params, params.delta_p)
-    return 3.0 * tau_vac
+    tau_vac, log_tau_vac = vacuum_decoherence_time(params, params.delta_p)
+    t = 3.0 * tau_vac
+    finite = math.isfinite(t)
+    if finite:
+        factors = DecoherenceFactors.at_time(params, t)
+        finite = math.isfinite(factors.gamma) and math.isfinite(factors.phi)
+    if not finite:
+        raise DomainError(
+            f"3 tau_vac overflows: ln(tau_vac / s) = {log_tau_vac:.6g} at alpha = "
+            f"{params.alpha:g}, delta_p = {params.delta_p:g} m0 c; the decohered "
+            "panel needs a larger alpha delta_p^2")
+    return t
 
 
 def transform_reports(params: ModelParams, spec: QuadratureSpec = DEFAULT_SPEC,

@@ -6,7 +6,12 @@ accumulation) so every report is reproducible bit for bit:
 * `adaptive`: global-adaptive G7/K15 bisection on a finite interval, with
   optional caller-supplied breakpoints so integrands with widely separated
   scales (thermal structure at omega ~ 1/theta under a cutoff at omega ~ 1)
-  are pre-resolved instead of discovered.
+  are pre-resolved instead of discovered. Panels are evaluated in batches:
+  all breakpoint panels in one integrand call, then both halves of each
+  bisection in one call. `kronrod_panel` gives every panel the same bits in
+  a batch as alone, and the panels enter the heap and the running sums in
+  the order of one-at-a-time evaluation, so the refinement path and the
+  panel counts are those of that evaluation and runs stay reproducible.
 
 * `oscillatory`: integrals of g(w) cos(w tau) or g(w) sin(w tau) with a
   smooth decaying envelope g. One K15 panel per half period; the sequence of
@@ -96,14 +101,27 @@ class QuadResult:
                           self.tail_bound, self.converged)
 
 
-def kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
-    """(K15 value, error estimate) on [a, b]; f must accept an ndarray."""
+def kronrod_panel(f, a: float | np.ndarray, b: float | np.ndarray
+                  ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """(K15 value, error estimate) on [a, b]; f must accept a 1-D ndarray.
+
+    a and b may also be equal-length 1-D arrays of panel ends. f is then
+    called once, on the nodes of every panel in a row, and the values and
+    estimates come back as arrays. Each panel's weighted sums are one dot
+    product over its own 15 nodes, so a panel gives the same bits alone as in
+    any batch.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     h = 0.5 * (b - a)
-    x = 0.5 * (b + a) + h * _XGK
-    y = np.asarray(f(x), dtype=float)
-    k15 = h * float(np.dot(_WGK, y))
-    g7 = h * float(np.dot(_WG, y[1::2]))
-    return k15, abs(k15 - g7)
+    x = (0.5 * (b + a))[..., None] + h[..., None] * _XGK
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    k15 = h * np.vecdot(y, _WGK)
+    g7 = h * np.vecdot(y[..., 1::2], _WG)
+    err = np.abs(k15 - g7)
+    if k15.ndim == 0:
+        return float(k15), float(err)
+    return k15, err
 
 
 def adaptive(f, a: float, b: float, spec: QuadratureSpec,
@@ -125,16 +143,17 @@ def adaptive(f, a: float, b: float, spec: QuadratureSpec,
     settled_val = 0.0     # panels at the round-off floor, kept out of the heap
     settled_err = 0.0
 
-    def push(lo: float, hi: float) -> None:
+    def push(lo: list[float], hi: list[float]) -> None:
+        """Evaluate the panels [lo[k], hi[k]] in one call, then file them in order."""
         nonlocal panels, live_val, live_err
-        v, e = kronrod_panel(f, lo, hi)
-        panels += 1
-        heapq.heappush(heap, (-e, lo, hi, v))
-        live_val += v
-        live_err += e
+        vals, errs = kronrod_panel(f, lo, hi)
+        for lo_k, hi_k, v, e in zip(lo, hi, vals.tolist(), errs.tolist()):
+            panels += 1
+            heapq.heappush(heap, (-e, lo_k, hi_k, v))
+            live_val += v
+            live_err += e
 
-    for i in range(len(pts) - 1):
-        push(pts[i], pts[i + 1])
+    push(pts[:-1], pts[1:])
 
     while heap:
         value = live_val + settled_val
@@ -159,8 +178,7 @@ def adaptive(f, a: float, b: float, spec: QuadratureSpec,
             settled_val += v
             settled_err += e
             continue
-        push(lo, mid)
-        push(mid, hi)
+        push([lo, mid], [mid, hi])
     return QuadResult(value=live_val + settled_val, error=live_err + settled_err,
                       panels=panels)
 

@@ -253,6 +253,21 @@ class TestExitCodes:
     def test_domain(self):
         assert run_cli("scan", "--temperature-K", "-3") == cli.EXIT_DOMAIN
 
+    def test_fig3_overflowing_tau_vac_is_domain_error(self, tmp_path, capsys):
+        # ln(tau_vac / s) = 1158: the decohered panel cannot be placed
+        out = tmp_path / "fig3.csv"
+        assert run_cli("figure", "fig3", "--alpha", "0.2", "--p0-over-m0c", "0.05",
+                       "--delta-p-over-m0c", "0.14", "--out", str(out)) == cli.EXIT_DOMAIN
+        assert "3 tau_vac overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fig3_overflowing_factors_are_domain_error(self, tmp_path, capsys):
+        # tau_vac = e^427 s is finite, but Gamma at 3 tau_vac is not
+        out = tmp_path / "fig3.csv"
+        assert run_cli("figure", "fig3", "--alpha", "1", "--out", str(out)) == cli.EXIT_DOMAIN
+        assert "3 tau_vac overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io(self):
         assert run_cli("scan", "--out", "/nonexistent-dir/x.csv",
                        "--t-points", "2") == cli.EXIT_IO

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -97,6 +98,14 @@ class TestLogSinhc:
 
     def test_no_overflow_at_1e6(self):
         assert dec.log_sinhc(1e6) == pytest.approx(1e6 - math.log(2e6), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-4, 1.0001e-3, 1e-2, 0.1, 0.5, 1.0, 19.5, 20.5])
+    def test_matches_mpmath_across_branches(self, x):
+        # 50-digit reference on both sides of the x = 1 and x = 20 switches;
+        # near 1e-3 a plain ln(sinh(x)/x) keeps only ~1e-9 of the value
+        with mp.workdps(50):
+            ref = mp.log(mp.sinh(mp.mpf(x)) / mp.mpf(x))
+        assert dec.log_sinhc(x) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
 
 class TestPhase:

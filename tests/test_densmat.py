@@ -14,6 +14,7 @@ from qed_decoherence.densmat import (
     mean_displacement_vec,
     rho_p,
     rho_p_initial,
+    rho_p_matrix,
     rho_r,
     rho_r_initial,
     rho_r_matrix,
@@ -220,6 +221,56 @@ class TestRhoR:
                * rho_p(a[1], b[1], pk1y, f)
                * rho_p(a[2], b[2], pk1y, f))
         assert cmath.isclose(lhs, rhs, rel_tol=1e-11)
+
+
+class TestFactoredGrids:
+    """The grids are built in factored form; the scalar element functions,
+    which evaluate the closed forms term by term, are the references."""
+
+    @pytest.mark.parametrize("label", ["t=0", "t=3tau_vac"])
+    def test_momentum_matrix_matches_scalar_elements(self, fig3_params, label):
+        pk = GaussianPacket.from_params(fig3_params, dims=1)
+        t = 0.0 if label == "t=0" else fig3_time(fig3_params)
+        f = DecoherenceFactors.at_time(fig3_params, t)
+        grid = np.linspace(-6 * pk.delta_p, 6 * pk.delta_p, 7)
+        m = rho_p_matrix(grid, pk, f)
+        for i, a in enumerate(grid):
+            for j, b in enumerate(grid):
+                assert m[i, j] == pytest.approx(rho_p(a, b, pk, f), rel=1e-12)
+
+    def test_drifting_packet_matches_scalar_elements(self, default_params):
+        # p0 and r0 both nonzero exercise the linear phase terms of both grids
+        pk = packet_1d(p0=0.1, r0=3.0)
+        f = factors_at(default_params, 5.0)
+        p_grid = np.linspace(0.1 - 0.5, 0.1 + 0.5, 6)
+        q_grid = np.linspace(-40.0, 40.0, 6)
+        m_p = rho_p_matrix(p_grid, pk, f)
+        m_r = rho_r_matrix(q_grid, pk, f)
+        for i in range(6):
+            for j in range(6):
+                assert m_p[i, j] == pytest.approx(rho_p(p_grid[i], p_grid[j], pk, f), rel=1e-12)
+                assert m_r[i, j] == pytest.approx(rho_r(q_grid[i], q_grid[j], pk, f), rel=1e-12)
+
+    def test_large_gamma_grids_finite_and_hermitian(self):
+        # Gamma (12 dp)^2 = 1.4e7: far past exp overflow if the kernel were
+        # ever split into exp(2 Gamma p p') outer products
+        pk = packet_1d(p0=0.1, r0=2.0)
+        gamma = 1e5 / pk.delta_p**2
+        f = DecoherenceFactors(t=1e6, gamma_vac=gamma, gamma_th=0.0, gamma=gamma, phi=-3e4)
+        assert gamma * (12 * pk.delta_p) ** 2 > 1e4 * 709
+        f0 = DecoherenceFactors.free()
+        p_grid = np.linspace(0.1 - 6 * pk.delta_p, 0.1 + 6 * pk.delta_p, 101)
+        q_grid = np.linspace(-6.0, 6.0, 101) * width_t(pk, f)
+        for m in (rho_p_matrix(p_grid, pk, f), rho_r_matrix(q_grid, pk, f)):
+            assert np.all(np.isfinite(m))
+            peak = np.max(np.abs(m))
+            assert np.max(np.abs(m - m.conj().T)) <= 1e-15 * peak
+            assert np.all(np.diagonal(m).imag == 0.0)
+        # populations do not move; the coherences are gone
+        m_p = rho_p_matrix(p_grid, pk, f)
+        np.testing.assert_allclose(np.diagonal(m_p).real,
+                                   np.diagonal(rho_p_matrix(p_grid, pk, f0)).real, rtol=1e-14)
+        assert m_p[0, -1] == 0.0
 
 
 class TestFigureThreeProperty:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qed_decoherence import decoherence as dec
+from qed_decoherence import oracle
 from qed_decoherence.decoherence import DecoherenceFactors
 from qed_decoherence.densmat import GaussianPacket, rho_r_matrix
 from qed_decoherence.oracle import (
@@ -109,6 +110,22 @@ class TestFrequencyOracles:
             assert r.tail_bound < 1e-20
         assert quad_phase(1e6).tail_bound < 1e6 * math.exp(-50.0) * 1.01
 
+    @pytest.mark.parametrize("name, tau, args, panels", [
+        ("quad_gamma_vac", 0.37, (), 10),
+        ("quad_gamma_vac", 30.0, (), 50),
+        ("quad_gamma_vac", 1e4, (), 75),
+        ("quad_phase", 3.0, (), 58),
+        ("quad_phase", 1e4, (), 54),
+        ("quad_field_energy", 1e3, (), 20),
+        ("quad_gamma_th", 30.0, (1e4,), 34),
+        ("quad_gamma_total", 1e3, (37.0,), 60),
+    ])
+    def test_deterministic_with_fixed_panel_counts(self, name, tau, args, panels):
+        a = getattr(oracle, name)(tau, *args)
+        b = getattr(oracle, name)(tau, *args)
+        assert (a.value, a.error, a.panels) == (b.value, b.error, b.panels)
+        assert a.panels == panels
+
     def test_convergence_monotonicity(self):
         loose = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-9)
         tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
@@ -213,6 +230,24 @@ class TestRunAll:
         reports = run_all(default_params, t_grid)
         assert any(not r.passed for r in reports)
         assert any(r.passed for r in reports)
+
+    def test_vacuum_integral_shared_by_gamma_vac_and_photon_number(
+            self, default_params, monkeypatch):
+        calls, photon_calls = [], []
+        real_vac, real_photon = oracle.quad_gamma_vac, oracle.quad_photon
+        monkeypatch.setattr(oracle, "quad_gamma_vac",
+                            lambda tau, spec: calls.append(tau) or real_vac(tau, spec))
+        monkeypatch.setattr(oracle, "quad_photon",
+                            lambda tau, spec: photon_calls.append(tau) or real_photon(tau, spec))
+        t_grid = [default_params.seconds(tau) for tau in np.geomspace(1e-2, 1e4, 5)]
+        reports = {r.quantity: r for r in run_all(default_params, t_grid)}
+        assert len(calls) == len(set(calls)) == 5
+        # quad_photon is left to the continuum sum, at Doppler-shifted taus only
+        assert photon_calls and not set(photon_calls) & set(calls)
+        vac, photon = reports["gamma_vac"], reports["photon_number"]
+        assert vac.passed and photon.passed
+        assert photon.tolerance == ORACLE_CHECKS["photon_number"][1]
+        assert (photon.oracle, photon.panels) == (vac.oracle, vac.panels)
 
     def test_t0_branch(self):
         p0 = make_params(temperature=0.0)

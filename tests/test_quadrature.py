@@ -30,6 +30,23 @@ class TestKronrodPanel:
         v, e = kronrod_panel(np.exp, 0.0, 1.0)
         assert abs(v - (math.e - 1.0)) <= max(e, 1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_array_form_equals_scalar_form_panel_by_panel(self, n):
+        f = lambda w: np.exp(-w) * np.sin(3.0 * w) / (1.0 + w)
+        lo = np.geomspace(1e-3, 40.0, n)
+        hi = lo * 1.3 + 1e-4
+        vals, errs = kronrod_panel(f, lo, hi)
+        assert vals.shape == errs.shape == (n,)
+        for k in range(n):
+            v, e = kronrod_panel(f, lo[k], hi[k])
+            assert (vals[k], errs[k]) == (v, e)
+
+    def test_array_form_calls_integrand_once_on_flat_nodes(self):
+        seen = []
+        f = lambda w: seen.append(w.shape) or np.cos(w)
+        kronrod_panel(f, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+        assert seen == [(45,)]
+
 
 class TestAdaptive:
     def test_exponential(self):
@@ -70,6 +87,20 @@ class TestAdaptive:
         a = adaptive(f, 0.0, 50.0, SPEC)
         b = adaptive(f, 0.0, 50.0, SPEC)
         assert a.value == b.value and a.panels == b.panels
+
+    def test_panel_counts_fixed(self):
+        # batched panel evaluation leaves the refinement path alone: these
+        # are the counts of the one-panel-per-call implementation
+        cases = [
+            (lambda w: np.exp(-w) * (1 - np.cos(3.0 * w)) / w, 1e-9, 50.0,
+             QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16), (), 31),
+            (lambda w: np.exp(-w) * np.cos(7.0 * w), 0.0, 50.0, SPEC, (), 77),
+            (lambda w: np.exp(-w) / w, 1e-4, 50.0, SPEC, (1e-3, 1e-2, 0.1, 1.0, 10.0), 40),
+            (lambda w: np.exp(-((w - 1e-5) ** 2) / (2e-12)), 0.0, 50.0, SPEC,
+             (1e-6, 1e-5, 1e-4, 1e-3), 21),
+        ]
+        for f, a, b, spec, brk, panels in cases:
+            assert adaptive(f, a, b, spec, breakpoints=brk).panels == panels
 
 
 class TestWynnEpsilon:
