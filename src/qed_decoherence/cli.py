@@ -16,6 +16,8 @@ with a configurable number of significant figures. Exit codes: 0 ok, 1 usage,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import config as cfg
 from . import densmat, field, observables, oracle
-from .decoherence import DecoherenceFactors, log_sinhc, log_sqrt_one_plus_sq
+from .decoherence import DecoherenceFactors, coupling_scale, log_sinhc, log_sqrt_one_plus_sq
 from .densmat import GaussianPacket
 from .params import DomainError, ModelParams, validity_bound, validity_window
 
@@ -36,6 +38,7 @@ EXIT_VERIFY = 3
 EXIT_IO = 4
 
 FIG3_ALPHA = 150.0   # coupling for the fig3 parameter set: tau_vac = e^pi / Omega
+RHO_MAX_POINTS = 1001   # rho writes points^2 rows: ~1e6 rows, ~110 MB of CSV at the cap
 
 
 class UsageError(Exception):
@@ -77,6 +80,10 @@ class RunConfig:
         for bound in (self.t_min_s, self.t_max_s):
             if bound is not None and bound <= 0.0:
                 raise DomainError("t-grid bounds must be positive")
+        if not 2 <= self.points <= RHO_MAX_POINTS:
+            raise DomainError(f"points = {self.points} outside [2, {RHO_MAX_POINTS}]")
+        if not 0.0 < self.span < math.inf:
+            raise DomainError(f"span = {self.span} must be positive and finite")
 
     @classmethod
     def from_args(cls, params: ModelParams, resolved: dict, args) -> "RunConfig":
@@ -86,29 +93,45 @@ class RunConfig:
         return cls(params=params, command=args.command, resolved=resolved, **kw)
 
 
-def _fmt(value, sigfigs: int) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.{sigfigs - 1}e}"
+def _fmt(value: float, sigfigs: int) -> str:
+    return f"{value:.{sigfigs - 1}e}"
+
+
+# printf format of a column by dtype kind; any other kind is a float
+_COLUMN_FORMATS = {"U": "%s", "i": "%d"}
+_BLOCK_ROWS = 1 << 14
 
 
 def write_csv(out, comments: list[str], header: list[str], rows, sigfigs: int) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v, sigfigs) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    """Write a CSV to the path `out`, or to stdout when it is None. rows is a
+    structured array (see _table) or a list of rows. Each column has one printf
+    format: %s for text, %d for integers, %.{sigfigs-1}e for floats (which
+    writes nan and inf as such), applied a block of rows at a time."""
+    table = rows if isinstance(rows, np.ndarray) else np.rec.fromrecords(rows, names=header)
+    line = ",".join(_COLUMN_FORMATS.get(table.dtype[k].kind, f"%.{sigfigs - 1}e")
+                    for k in range(len(table.dtype))) + "\n"
+    head = "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w", encoding="utf-8")) as fh:
+        fh.write(head)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS].tolist()
+            fh.write((line * len(block)) % tuple(itertools.chain.from_iterable(block)))
+
+
+def _table(header: list[str], columns) -> np.ndarray:
+    """The columns (arrays, or scalars that repeat) as a structured array of
+    rows for write_csv. scan, figure and rho write only finite numbers: a
+    non-finite value is a DomainError that names its column."""
+    cols = np.broadcast_arrays(*(np.asarray(c) for c in columns))
+    for name, col in zip(header, cols):
+        if col.dtype.kind == "f" and not np.all(np.isfinite(col)):
+            bad = np.flatnonzero(~np.isfinite(col))
+            raise DomainError(
+                f"column {name} is not finite in {bad.size} of {col.size} rows "
+                f"(first: row {bad[0]}, value {col[bad[0]]}); the inputs overflow "
+                "double precision there")
+    return np.rec.fromarrays(cols, names=header)
 
 
 def _time_grid(config: RunConfig) -> np.ndarray:
@@ -141,24 +164,22 @@ SCAN_UNITS = (
 
 def cmd_scan(config: RunConfig) -> int:
     params = config.params
-    t_grid = _time_grid(config)
-    bound = validity_bound(params)
+    t = _time_grid(config)
+    s = observables.snapshot(params, t)
+    f = s.factors
     p_bar = params.p0_mag
-    rows = []
-    for t in t_grid:
-        f = DecoherenceFactors.at_time(params, float(t))
-        s = observables.snapshot(params, float(t))
-        rows.append([
-            t, f.t, f.gamma_vac, f.gamma_th, f.gamma, f.phi,
-            s.delta_p_t, s.l_p, s.s_lin, s.mean_q[0], s.mean_v[0],
-            s.delta_m / params.mass0, s.delta_r_t, s.delta_r_free, s.l_r,
-            field.mean_photon_number(params, p_bar, float(t)),
-            field.mean_field_energy(params, p_bar, float(t)),
-            int(t <= bound),
-        ])
+    columns = [
+        t, f.t, f.gamma_vac, f.gamma_th, f.gamma, f.phi,
+        s.delta_p_t, s.l_p, s.s_lin, s.mean_q[:, 0], s.mean_v[:, 0],
+        s.delta_m / params.mass0, s.delta_r_t, s.delta_r_free, s.l_r,
+        field.mean_photon_number(params, p_bar, t),
+        field.mean_field_energy(params, p_bar, t),
+        (t <= validity_bound(params)).astype(int),
+    ]
     comments = ["qed-decoherence scan", SCAN_UNITS,
                 *cfg.provenance_lines(config.resolved)]
-    write_csv(config.out, comments, SCAN_COLUMNS, rows, config.sigfigs)
+    write_csv(config.out, comments, SCAN_COLUMNS, _table(SCAN_COLUMNS, columns),
+              config.sigfigs)
     return EXIT_OK
 
 
@@ -167,31 +188,27 @@ _FIG_ZETAS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
 def _figure_rows(which: str, params: ModelParams, user_set: frozenset[str]):
-    """Figure data grids; each figure's standard parameters act as defaults
-    that explicit config/CLI settings override."""
+    """Figure data as (header, columns, parameters used); each figure's
+    standard parameters act as defaults that explicit config/CLI settings
+    override. fig1, fig2 and fig4 are outer grids: every Omega t for each
+    zeta or alpha in turn."""
     taus = np.geomspace(1e-3, 1e6, 181)
     if which == "fig1":
         # vacuum vs thermal decoherence exponents as a function of zeta, T = 300 K
         p1 = params if "temperature_K" in user_set else params.with_overrides(
             temperature=300.0)
         header = ["t_s", "t_omega", "zeta", "gamma_vac_pp", "gamma_th_pp"]
-        rows = []
-        for zeta in _FIG_ZETAS:
-            for tau in taus:
-                x = math.pi * tau / p1.theta
-                rows.append([p1.seconds(tau), tau, zeta,
-                             zeta * log_sqrt_one_plus_sq(tau), zeta * log_sinhc(x)])
-        return header, rows, p1
+        zeta, tau = (g.ravel() for g in np.meshgrid(_FIG_ZETAS, taus, indexing="ij"))
+        t = p1.seconds(tau)
+        return header, [t, tau, zeta, zeta * log_sqrt_one_plus_sq(tau),
+                        zeta * log_sinhc(p1.thermal_x(t))], p1
     if which == "fig2":
         # vacuum suppression vs time and coupling at |p - p'| = 0.1 m0 c
         header = ["t_omega", "alpha", "exp_neg_gamma_vac_pp"]
         dp2 = (params.delta_p if "delta_p_over_m0c" in user_set else 0.1) ** 2
-        rows = []
-        for a in _FIG_ALPHAS:
-            scale = 2.0 * a / (3.0 * math.pi) * dp2
-            for tau in taus:
-                rows.append([tau, a, math.exp(-scale * log_sqrt_one_plus_sq(tau))])
-        return header, rows, params
+        alpha, tau = (g.ravel() for g in np.meshgrid(_FIG_ALPHAS, taus, indexing="ij"))
+        return header, [tau, alpha, np.exp(-(coupling_scale(alpha) * dp2)
+                                           * log_sqrt_one_plus_sq(tau))], params
     if which == "fig3":
         overrides = {}
         if "alpha" not in user_set:
@@ -203,27 +220,22 @@ def _figure_rows(which: str, params: ModelParams, user_set: frozenset[str]):
             overrides["delta_p"] = 0.1
         p3 = params.with_overrides(**overrides) if overrides else params
         packet = GaussianPacket.from_params(p3, dims=1)
-        t_dec = oracle.fig3_time(p3)
+        times = np.array([0.0, oracle.fig3_time(p3)])
         grid = np.linspace(p3.p0[0] - 4.0 * packet.delta_p,
                            p3.p0[0] + 4.0 * packet.delta_p, 81)
+        n2 = grid.size ** 2
         header = ["t_label", "t_s", "p_over_m0c", "p_prime_over_m0c", "rho_abs_normalized"]
-        rows = []
-        for label, t in (("initial", 0.0), ("3tau_vac", t_dec)):
-            f = DecoherenceFactors.at_time(p3, t)
-            m = np.abs(densmat.rho_p_matrix(grid, packet, f)) / packet.norm
-            for i, p in enumerate(grid):
-                for j, pp in enumerate(grid):
-                    rows.append([label, t, p, pp, m[i, j]])
-        return header, rows, p3
+        panels = [np.abs(densmat.rho_p_matrix(grid, packet, DecoherenceFactors.at_time(p3, t)))
+                  / packet.norm for t in times]
+        return header, [np.repeat(["initial", "3tau_vac"], n2), np.repeat(times, n2),
+                        np.tile(np.repeat(grid, grid.size), 2), np.tile(grid, 2 * grid.size),
+                        np.concatenate([m.ravel() for m in panels])], p3
     if which == "fig4":
         header = ["t_s", "t_omega", "alpha", "s_lin"]
-        rows = []
-        for a in _FIG_ALPHAS:
-            pa = params.with_overrides(alpha=a)
-            for tau in taus:
-                rows.append([pa.seconds(tau), tau, a,
-                             observables.linear_entropy(pa, pa.seconds(tau))])
-        return header, rows, params
+        alpha, tau = (g.ravel() for g in np.meshgrid(_FIG_ALPHAS, taus, indexing="ij"))
+        s_lin = [observables.linear_entropy(params.with_overrides(alpha=a), params.seconds(taus))
+                 for a in _FIG_ALPHAS]
+        return header, [params.seconds(tau), tau, alpha, np.concatenate(s_lin)], params
     raise DomainError(f"unknown figure id {which!r} (expected fig1|fig2|fig3|fig4)")
 
 
@@ -257,12 +269,12 @@ plt.show()
 def cmd_figure(config: RunConfig) -> int:
     user_set = frozenset(k for k in cfg.CONFIG_KEYS
                          if config.resolved.get(k) != cfg.DEFAULTS[k])
-    header, rows, used = _figure_rows(config.which, config.params, user_set)
+    header, columns, used = _figure_rows(config.which, config.params, user_set)
     comments = [f"qed-decoherence figure {config.which}",
                 f"alpha = {used.alpha!r}, omega_cut_rad_s = {used.omega_cut!r}, "
                 f"temperature_K = {used.temperature!r}, delta_p_over_m0c = {used.delta_p!r}",
                 *cfg.provenance_lines(config.resolved)]
-    write_csv(config.out, comments, header, rows, config.sigfigs)
+    write_csv(config.out, comments, header, _table(header, columns), config.sigfigs)
     if config.plot_script is not None:
         csv_name = str(config.out) if config.out else "figure.csv"
         Path(config.plot_script).write_text(_PLOT_SCRIPT.format(csv=csv_name),
@@ -305,7 +317,7 @@ def verification_reports(params: ModelParams, n_points: int = 25):
     caller's parameters, plus the transform oracle at the fixed fig3 reference
     set (the transform grid resolution is tuned to that set; the frequency
     oracles are what track the caller's configuration)."""
-    t_grid = [params.seconds(tau) for tau in np.geomspace(1e-3, 1e6, n_points)]
+    t_grid = params.seconds(np.geomspace(1e-3, 1e6, n_points))
     fig3_params = cfg.build_params(dict(cfg.DEFAULTS)).with_overrides(
         alpha=FIG3_ALPHA, p0=(0.0, 0.0, 0.0), delta_p=0.1, v0=None)
     return oracle.run_all(params, t_grid, include_transform=True,
@@ -359,16 +371,13 @@ def cmd_rho(config: RunConfig) -> int:
         grid = np.linspace(center - half, center + half, n)
         matrix = densmat.rho_r_matrix(grid, packet, factors)
         a_name, b_name = "q_mc_over_hbar", "q_prime_mc_over_hbar"
-    rows = []
-    for i, a in enumerate(grid):
-        for j, b in enumerate(grid):
-            v = matrix[i, j]
-            rows.append([config.t_s, a, b, v.real, v.imag, abs(v)])
+    header = ["t_s", a_name, b_name, "re", "im", "abs"]
+    table = _table(header, [config.t_s, np.repeat(grid, n), np.tile(grid, n),
+                            matrix.real.ravel(), matrix.imag.ravel(), np.abs(matrix).ravel()])
     comments = [f"qed-decoherence rho --rep {config.rep} --t-s {config.t_s!r}",
                 "momentum in m0 c, displacement in hbar/(m0 c)",
                 *cfg.provenance_lines(config.resolved)]
-    write_csv(config.out, comments, ["t_s", a_name, b_name, "re", "im", "abs"],
-              rows, config.sigfigs)
+    write_csv(config.out, comments, header, table, config.sigfigs)
     return EXIT_OK
 
 

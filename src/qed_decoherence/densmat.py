@@ -41,6 +41,11 @@ import numpy as np
 from .decoherence import DecoherenceFactors
 from .params import DomainError, ModelParams
 
+__all__ = [
+    "MAX_PHASE", "GaussianPacket", "grid_trace", "mean_displacement_vec", "rho_p", "rho_p_initial",
+    "rho_p_matrix", "rho_r", "rho_r_initial", "rho_r_matrix", "width_t", "z_factor",
+]
+
 
 @dataclass(frozen=True)
 class GaussianPacket:
@@ -87,16 +92,6 @@ class GaussianPacket:
     @property
     def d(self) -> float:
         return self.delta_r / math.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class ComplexMatrixElement:
-    """One density-matrix element with its provenance."""
-
-    value: complex
-    rep: str                       # "momentum" | "position"
-    args: tuple                    # the (p, p') or (q, q') pair
-    t: float                       # Omega^-1 units
 
 
 def _vec(x, dims: int) -> np.ndarray:
@@ -193,21 +188,14 @@ def rho_r(q, q_prime, packet: GaussianPacket, factors: DecoherenceFactors) -> co
     return pref * complex(math.exp(env) * math.cos(phase), math.exp(env) * math.sin(phase))
 
 
-def element(rep: str, a, b, packet: GaussianPacket,
-            factors: DecoherenceFactors) -> ComplexMatrixElement:
-    """Tagged element in either representation."""
-    if rep == "momentum":
-        val = rho_p(a, b, packet, factors)
-    elif rep == "position":
-        val = rho_r(a, b, packet, factors)
-    else:
-        raise DomainError(f"unknown representation {rep!r}")
-    return ComplexMatrixElement(value=val, rep=rep, args=(a, b), t=factors.t)
-
-
 # ---------------------------------------------------------------------------
 # vectorized 1-D grids (the figure and oracle workhorses)
 # ---------------------------------------------------------------------------
+
+# Largest phase theta (rad) a grid may carry: 1/eps, where the rounding of
+# theta alone reaches 1 rad.
+MAX_PHASE = 1.0 / np.finfo(float).eps
+
 
 def _factored_grid(x: np.ndarray, norm: float, a: float, c: float, g: float,
                    phase2: float, phase1: float) -> np.ndarray:
@@ -228,7 +216,12 @@ def _factored_grid(x: np.ndarray, norm: float, a: float, c: float, g: float,
     np.subtract(-env[:, None], m, out=m)
     m -= env[None, :]
     np.exp(m, out=m)
-    w = math.sqrt(norm) * np.exp(1j * u * (phase2 * u + (2.0 * phase2 * c + phase1)))
+    theta = u * (phase2 * u + (2.0 * phase2 * c + phase1))
+    if np.max(np.abs(theta)) > MAX_PHASE:
+        raise DomainError(
+            f"the phase of rho reaches {np.max(np.abs(theta)):.3g} rad on this grid; past "
+            f"{MAX_PHASE:.3g} rad its rounding alone exceeds 1 rad, so re and im carry no digits")
+    w = math.sqrt(norm) * np.exp(1j * theta)
     out = np.multiply.outer(w, w.conj())
     out *= m
     # populations are real; the complex products leave ~1e-17 rounding there

@@ -17,54 +17,49 @@ affect occupations or energies.
 
 from __future__ import annotations
 
-import cmath
-import math
+import numpy as np
 
-from dataclasses import dataclass
-
-from .decoherence import lorentz_weight
+from .decoherence import coupling_scale, log_sqrt_one_plus_sq, lorentz_weight
 from .observables import mass_shift
 from .params import DomainError, ModelParams
 
+__all__ = [
+    "field_energy_bound", "field_mass_shift", "mean_field_energy", "mean_photon_number",
+    "mode_occupation",
+]
 
-def mean_photon_number(params: ModelParams, p_bar: float, t_seconds: float) -> float:
+# t_seconds is a scalar or a 1-D array of times, as in decoherence and observables.
+
+
+def mean_photon_number(params: ModelParams, p_bar: float, t_seconds):
     """<n_pbar>(t) = (2 alpha/3 pi) pbar^2 ln(1 + Omega^2 t^2), p_bar in m0 c.
 
     Apart from a factor 2 this is the vacuum decoherence factor: the buildup
     of packet-photon correlations IS the temperature-independent decoherence.
     """
-    if t_seconds < 0.0:
-        raise DomainError("time must be >= 0")
-    tau = params.tau(t_seconds)
-    return 2.0 * params.alpha / (3.0 * math.pi) * p_bar * p_bar * math.log1p(tau * tau)
+    return (coupling_scale(params.alpha) * p_bar * p_bar
+            * (2.0 * log_sqrt_one_plus_sq(params.tau(t_seconds))))
 
 
-def mean_field_energy(params: ModelParams, p_bar: float, t_seconds: float) -> float:
+def mean_field_energy(params: ModelParams, p_bar: float, t_seconds):
     """Cloud energy <E_F>(t) = (8 alpha/3 pi)(hbar Omega/m0 c^2)
     (tau^2/(1+tau^2)) (pbar^2/2 m0), joules.
 
     Carries the same saturation shape as delta_m(t); numerically it satisfies
     <E_F> = -(pbar^2/2 m0)(delta_F m/m0) with delta_F m = -2 delta_m.
     """
-    if t_seconds < 0.0:
-        raise DomainError("time must be >= 0")
-    tau = params.tau(t_seconds)
-    e_internal = (
-        8.0 * params.alpha / (3.0 * math.pi)
-        * params.epsilon
-        * lorentz_weight(tau)
-        * 0.5 * p_bar * p_bar
-    )
+    e_internal = (4.0 * coupling_scale(params.alpha) * params.epsilon
+                  * lorentz_weight(params.tau(t_seconds)) * 0.5 * p_bar * p_bar)
     return params.energy_si(e_internal)
 
 
-def field_mass_shift(params: ModelParams, t_seconds: float) -> float:
+def field_mass_shift(params: ModelParams, t_seconds):
     """delta_F m = -2 delta_m(t), kg: the field-side share of the dressed mass."""
     return -2.0 * mass_shift(params, t_seconds)
 
 
-def mode_occupation(params: ModelParams, p_bar: float, omega: float, t_seconds: float,
-                    projection: float = 0.0, geometry: float = 1.0) -> float:
+def mode_occupation(params: ModelParams, p_bar: float, omega: float, t_seconds,
+                    projection: float = 0.0, geometry: float = 1.0):
     """Per-mode occupation |beta|^2 before mode summation.
 
     omega in rad/s; projection X = k.v0/omega (|X| <= v0 < 1); geometry is the
@@ -80,8 +75,6 @@ def mode_occupation(params: ModelParams, p_bar: float, omega: float, t_seconds: 
     """
     if omega <= 0.0:
         raise DomainError("omega must be positive")
-    if t_seconds < 0.0:
-        raise DomainError("time must be >= 0")
     if abs(projection) > params.v0:
         raise DomainError(f"|X| = {abs(projection):.3g} exceeds v0 = {params.v0:.3g}")
     w = omega / params.omega_cut
@@ -89,49 +82,12 @@ def mode_occupation(params: ModelParams, p_bar: float, omega: float, t_seconds: 
     det = 1.0 - projection
     x = w * tau * det
     # 1 - cos(x) via half-angle, exact zero at recurrences
-    one_minus_cos = 2.0 * math.sin(0.5 * x) ** 2
+    one_minus_cos = 2.0 * np.sin(0.5 * x) ** 2
     return geometry * p_bar * p_bar * one_minus_cos / (w**3 * det**2)
-
-
-def coherent_matrix_element(lam: complex, lam_prime: complex,
-                            beta: complex, beta_prime: complex) -> complex:
-    """Reduced field matrix element between coherent amplitudes (test hook).
-
-    N exp[-|lam|^2/2 - |lam'|^2/2 - |beta|^2/2 - |beta'|^2/2 + lam* beta
-    + lam' beta'*], normalization omitted; read-only diagnostics, not a
-    public evolution API.
-    """
-    expo = (
-        -0.5 * (abs(lam) ** 2 + abs(lam_prime) ** 2 + abs(beta) ** 2 + abs(beta_prime) ** 2)
-        + lam.conjugate() * beta
-        + lam_prime * beta_prime.conjugate()
-    )
-    return cmath.exp(expo)
-
-
-@dataclass(frozen=True)
-class CloudState:
-    """Photon-cloud summary for a sharp packet at p_bar (m0 c) and time t."""
-
-    p_bar: float
-    t_seconds: float
-    n_mean: float        # photons
-    e_mean: float        # J
-    delta_f_m: float     # kg, = -2 delta_m(t)
-
-    @classmethod
-    def at_time(cls, params: ModelParams, p_bar: float, t_seconds: float) -> "CloudState":
-        return cls(
-            p_bar=p_bar,
-            t_seconds=t_seconds,
-            n_mean=mean_photon_number(params, p_bar, t_seconds),
-            e_mean=mean_field_energy(params, p_bar, t_seconds),
-            delta_f_m=field_mass_shift(params, t_seconds),
-        )
 
 
 def field_energy_bound(params: ModelParams, p_bar: float) -> float:
     """Saturation value of <E_F>: (8 alpha/3 pi)(hbar Omega/m0 c^2)(pbar^2/2 m0), J."""
     kinetic = params.energy_si(0.5 * p_bar * p_bar)
-    delta_m_saturation = 2.0 * (2.0 * params.alpha / (3.0 * math.pi)) * params.epsilon
+    delta_m_saturation = 2.0 * coupling_scale(params.alpha) * params.epsilon
     return kinetic * 2.0 * delta_m_saturation

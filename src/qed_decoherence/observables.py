@@ -3,7 +3,9 @@ dressed mass, entropy, and the radiated-power scaling estimate.
 
 Unit conventions at this API: time in seconds in, SI out for dimensionful
 quantities (meters, m/s, m/s^2, kg, J), momentum widths in m0 c (they are
-ratios of the configured inputs), entropy and mass ratio dimensionless.
+ratios of the configured inputs), entropy and mass ratio dimensionless. Time
+is a scalar or a 1-D array of T times; results are scalars or (T,) columns,
+and 3-vectors (3,) or (T, 3).
 
 The coherence-length / width / entropy identities are exact by construction:
 everything is derived from the single ratio 1/sqrt(1 + 8 dp^2 Gamma / 3), so
@@ -15,7 +17,6 @@ holds to machine precision, as does delta_r(t)^2 = 3 d^2 Z.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,150 +26,127 @@ from .decoherence import (
     DecoherenceFactors,
     coupling_scale,
     lorentz_weight,
+    lorentz_weight_slope,
     tau_minus_arctan,
 )
-from .params import DomainError, ModelParams
+from .params import ModelParams
+
+__all__ = [
+    "ObservableSnapshot", "brems_power_estimate", "dressed_mass",
+    "inv_mass_time_average", "linear_entropy", "mass_shift", "mean_acceleration",
+    "mean_displacement", "mean_velocity", "momentum_coherence_length", "momentum_width",
+    "snapshot", "spatial_coherence_length", "spatial_width", "spatial_width_free",
+]
 
 
-def _coherence_ratio(params: ModelParams, gamma: float) -> float:
+def _coherence_ratio(params: ModelParams, gamma):
     """l_p/delta_p = l_r/delta_r(t) = 1 - S_lin, from Gamma in 1/(m0 c)^2."""
-    return 1.0 / math.sqrt(1.0 + 8.0 * params.delta_p**2 * gamma / 3.0)
+    return 1.0 / np.sqrt(1.0 + 8.0 * params.delta_p**2 * gamma / 3.0)
 
 
-def _mass_shift_ratio(params: ModelParams, tau: float) -> float:
+def _mass_shift_ratio(params: ModelParams, tau):
     """delta_m(t)/m0 = (4 alpha epsilon / 3 pi) tau^2/(1+tau^2)."""
     return 2.0 * coupling_scale(params.alpha) * params.epsilon * lorentz_weight(tau)
 
 
-def _inv_mass_avg_ratio(params: ModelParams, tau: float) -> float:
+def _inv_mass_avg_ratio(params: ModelParams, tau):
     """m0 <1/m>_t = 1 - (4 alpha epsilon / 3 pi)(tau - arctan tau)/tau; 1 at t=0.
 
     Equals -2 hbar Phi(t)/t exactly; it agrees with (1/t) int dt'/m(t') only to
     first order in delta_m/m0 (see mass_shift).
     """
-    if tau == 0.0:
-        return 1.0
-    return 1.0 - 2.0 * coupling_scale(params.alpha) * params.epsilon * tau_minus_arctan(tau) / tau
+    tau = np.asarray(tau, dtype=float)
+    shift = 2.0 * coupling_scale(params.alpha) * params.epsilon * tau_minus_arctan(tau)
+    return 1.0 - np.divide(shift, tau, out=np.zeros_like(shift), where=tau > 0.0)[()]
 
 
 # -- momentum space ----------------------------------------------------------
 
-def momentum_width(params: ModelParams, t_seconds: float) -> float:
+def momentum_width(params: ModelParams, t_seconds):
     """delta_p(t) = delta_p for all t (no spreading in the pointer basis), m0 c."""
-    if t_seconds < 0.0:
-        raise DomainError("time must be >= 0")
-    return params.delta_p
+    return np.full(np.shape(params.tau(t_seconds)), params.delta_p)[()]
 
 
-def momentum_coherence_length(params: ModelParams, t_seconds: float) -> float:
+def momentum_coherence_length(params: ModelParams, t_seconds):
     """l_p(t) = delta_p / sqrt(1 + 8 dp^2 Gamma(t)/3), m0 c; falls off as 1/sqrt(t)."""
-    f = DecoherenceFactors.at_time(params, t_seconds)
-    return params.delta_p * _coherence_ratio(params, f.gamma)
+    return snapshot(params, t_seconds).l_p
 
 
-def linear_entropy(params: ModelParams, t_seconds: float) -> float:
+def linear_entropy(params: ModelParams, t_seconds):
     """S_lin(t) = 1 - 1/sqrt(1 + 6 Gamma hbar^2/delta_r^2): purity loss, 0 at t=0."""
-    f = DecoherenceFactors.at_time(params, t_seconds)
-    return 1.0 - _coherence_ratio(params, f.gamma)
+    return snapshot(params, t_seconds).s_lin
 
 
 # -- mean motion and dressing -------------------------------------------------
 
-def mean_displacement(params: ModelParams, t_seconds: float) -> np.ndarray:
+def mean_displacement(params: ModelParams, t_seconds):
     """<q>_t = -2 p0 Phi(t) hbar, meters, per component."""
-    f = DecoherenceFactors.at_time(params, t_seconds)
-    internal = -2.0 * f.phi * np.asarray(params.p0)
-    return internal * HBAR / (params.mass0 * SPEED_OF_LIGHT)
+    return snapshot(params, t_seconds).mean_q
 
 
-def mean_velocity(params: ModelParams, t_seconds: float) -> np.ndarray:
+def mean_velocity(params: ModelParams, t_seconds):
     """<qdot>_t = (p0/m0)[1 - delta_m(t)/m0], m/s, per component (exact derivative)."""
-    if t_seconds < 0.0:
-        raise DomainError("time must be >= 0")
-    tau = params.tau(t_seconds)
-    factor = 1.0 - _mass_shift_ratio(params, tau)
-    return np.asarray(params.p0) * factor * SPEED_OF_LIGHT
+    factor = 1.0 - _mass_shift_ratio(params, params.tau(t_seconds))
+    return np.multiply.outer(factor, params.p0) * SPEED_OF_LIGHT
 
 
-def mean_acceleration(params: ModelParams, t_seconds: float) -> np.ndarray:
+def mean_acceleration(params: ModelParams, t_seconds):
     """<qddot>_t = -(p0/m0^2)(4 a hbar Omega/3 pi c^2) 2 Omega^2 t/(1+tau^2)^2, m/s^2."""
-    if t_seconds < 0.0:
-        raise DomainError("time must be >= 0")
-    tau = params.tau(t_seconds)
-    shape = (
-        -2.0
-        * coupling_scale(params.alpha)
-        * params.epsilon
-        * 2.0
-        * tau
-        / (1.0 + tau * tau) ** 2
-    )
-    return np.asarray(params.p0) * shape * params.omega_cut * SPEED_OF_LIGHT
+    shape = (-2.0 * coupling_scale(params.alpha) * params.epsilon
+             * lorentz_weight_slope(params.tau(t_seconds)))
+    return np.multiply.outer(shape, params.p0) * params.omega_cut * SPEED_OF_LIGHT
 
 
-def mass_shift(params: ModelParams, t_seconds: float) -> float:
+def mass_shift(params: ModelParams, t_seconds):
     """Dressing mass increase delta_m(t) = (4 a hbar Omega/3 pi c^2) tau^2/(1+tau^2), kg.
 
     Quadratic for t << 1/Omega, saturating to the full electromagnetic mass
     shift 4 a hbar Omega / 3 pi c^2 for t >> 1/Omega.
     """
-    if t_seconds < 0.0:
-        raise DomainError("time must be >= 0")
     return params.mass0 * _mass_shift_ratio(params, params.tau(t_seconds))
 
 
-def dressed_mass(params: ModelParams, t_seconds: float) -> float:
+def dressed_mass(params: ModelParams, t_seconds):
     """m(t) = m0 + delta_m(t), kg."""
     return params.mass0 + mass_shift(params, t_seconds)
 
 
-def inv_mass_time_average(params: ModelParams, t_seconds: float) -> float:
+def inv_mass_time_average(params: ModelParams, t_seconds):
     """<1/m>_t = -2 hbar Phi(t) / t, in 1/kg, with the continuity value 1/m0 at t=0.
 
     First order in delta_m/m0: the difference from (1/t) int_0^t dt'/m(t')
     scales as (delta_m/m0)^2.
     """
-    if t_seconds < 0.0:
-        raise DomainError("time must be >= 0")
     return _inv_mass_avg_ratio(params, params.tau(t_seconds)) / params.mass0
 
 
 # -- coordinate space ----------------------------------------------------------
 
-def spatial_width(params: ModelParams, t_seconds: float) -> float:
+def spatial_width(params: ModelParams, t_seconds):
     """delta_r(t) = dr sqrt(1 + (dp t <1/m>)^2/dr^2 + 6 Gamma hbar^2/dr^2), meters."""
-    f = DecoherenceFactors.at_time(params, t_seconds)
-    tau = params.tau(t_seconds)
-    t_int = tau / params.epsilon
-    dr = params.delta_r_internal
-    drift = params.delta_p * t_int * _inv_mass_avg_ratio(params, tau) / dr
-    spread = 6.0 * f.gamma / dr**2
-    return params.length_si(dr * math.sqrt(1.0 + drift * drift + spread))
+    return snapshot(params, t_seconds).delta_r_t
 
 
-def spatial_width_free(params: ModelParams, t_seconds: float) -> float:
+def spatial_width_free(params: ModelParams, t_seconds):
     """Free spread delta_r(t)^0 = dr sqrt(1 + dp^2 t^2 / (dr^2 m0^2)), meters."""
-    if t_seconds < 0.0:
-        raise DomainError("time must be >= 0")
     t_int = params.tau(t_seconds) / params.epsilon
     dr = params.delta_r_internal
     drift = params.delta_p * t_int / dr
-    return params.length_si(dr * math.sqrt(1.0 + drift * drift))
+    return params.length_si(dr * np.sqrt(1.0 + drift * drift))
 
 
-def spatial_coherence_length(params: ModelParams, t_seconds: float) -> float:
+def spatial_coherence_length(params: ModelParams, t_seconds):
     """l_r(t) = delta_r(t)/sqrt(1 + 6 hbar^2 Gamma/dr^2), meters.
 
     l_r/delta_r(t) coincides with l_p/delta_p; for alpha > 0 it stays strictly
     below the free coherence length delta_r(t)^0.
     """
-    f = DecoherenceFactors.at_time(params, t_seconds)
-    return spatial_width(params, t_seconds) * _coherence_ratio(params, f.gamma)
+    return snapshot(params, t_seconds).l_r
 
 
 # -- radiation ----------------------------------------------------------------
 
-def brems_power_estimate(params: ModelParams, t_seconds: float) -> float:
+def brems_power_estimate(params: ModelParams, t_seconds):
     """Radiated-power scale alpha hbar <qddot>^2 / c^2 (order-of-magnitude estimate).
 
     Proportionality constant fixed to 1; the physical content is the alpha^3
@@ -176,54 +154,65 @@ def brems_power_estimate(params: ModelParams, t_seconds: float) -> float:
     decoherence mechanism.
     """
     acc = mean_acceleration(params, t_seconds)
-    return params.alpha * HBAR * float(np.dot(acc, acc)) / SPEED_OF_LIGHT**2
+    return params.alpha * HBAR * np.sum(acc * acc, axis=-1) / SPEED_OF_LIGHT**2
 
 
 # -- snapshot ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ObservableSnapshot:
-    """Everything at one time. Vector quantities carry components and magnitude."""
+    """Everything at one time, or as columns over a time grid: scalars become
+    (T,) arrays and 3-vectors (T, 3), with their magnitudes as (T,)."""
 
-    t_seconds: float
-    delta_p_t: float            # m0 c
-    l_p: float                  # m0 c
-    mean_q: tuple[float, float, float]       # m
-    mean_q_mag: float
-    mean_v: tuple[float, float, float]       # m/s
-    mean_v_mag: float
-    mass_t: float               # kg
-    delta_m: float              # kg
-    inv_mass_avg: float         # 1/kg
-    delta_r_t: float            # m
-    delta_r_free: float         # m
-    l_r: float                  # m
-    s_lin: float
-    accel: tuple[float, float, float]        # m/s^2
-    accel_mag: float
-    brems_power: float          # W-scale estimate
+    t_seconds: float | np.ndarray
+    factors: DecoherenceFactors
+    delta_p_t: float | np.ndarray      # m0 c
+    l_p: float | np.ndarray            # m0 c
+    mean_q: np.ndarray                 # m
+    mean_q_mag: float | np.ndarray
+    mean_v: np.ndarray                 # m/s
+    mean_v_mag: float | np.ndarray
+    mass_t: float | np.ndarray         # kg
+    delta_m: float | np.ndarray        # kg
+    inv_mass_avg: float | np.ndarray   # 1/kg
+    delta_r_t: float | np.ndarray      # m
+    delta_r_free: float | np.ndarray   # m
+    l_r: float | np.ndarray            # m
+    s_lin: float | np.ndarray
+    accel: np.ndarray                  # m/s^2
+    accel_mag: float | np.ndarray
+    brems_power: float | np.ndarray    # W-scale estimate
 
 
-def snapshot(params: ModelParams, t_seconds: float) -> ObservableSnapshot:
-    q = mean_displacement(params, t_seconds)
+def snapshot(params: ModelParams, t_seconds) -> ObservableSnapshot:
+    """Every observable at t_seconds (a scalar or a 1-D array), from one factor
+    bundle. The quantities that depend on Gamma or Phi are computed here only;
+    their functions above read them from a snapshot."""
+    f = DecoherenceFactors.at_time(params, t_seconds)
+    ratio = _coherence_ratio(params, f.gamma)
+    q = np.multiply.outer(-2.0 * f.phi, params.p0) * HBAR / (params.mass0 * SPEED_OF_LIGHT)
     v = mean_velocity(params, t_seconds)
     a = mean_acceleration(params, t_seconds)
+    dr = params.delta_r_internal
+    drift = params.delta_p * (f.t / params.epsilon) * _inv_mass_avg_ratio(params, f.t) / dr
+    width = params.length_si(dr * np.sqrt(1.0 + drift * drift + 6.0 * f.gamma / dr**2))
     return ObservableSnapshot(
         t_seconds=t_seconds,
+        factors=f,
         delta_p_t=momentum_width(params, t_seconds),
-        l_p=momentum_coherence_length(params, t_seconds),
-        mean_q=tuple(q),
-        mean_q_mag=float(np.linalg.norm(q)),
-        mean_v=tuple(v),
-        mean_v_mag=float(np.linalg.norm(v)),
+        l_p=params.delta_p * ratio,
+        mean_q=q,
+        mean_q_mag=np.linalg.norm(q, axis=-1),
+        mean_v=v,
+        mean_v_mag=np.linalg.norm(v, axis=-1),
         mass_t=dressed_mass(params, t_seconds),
         delta_m=mass_shift(params, t_seconds),
         inv_mass_avg=inv_mass_time_average(params, t_seconds),
-        delta_r_t=spatial_width(params, t_seconds),
+        delta_r_t=width,
         delta_r_free=spatial_width_free(params, t_seconds),
-        l_r=spatial_coherence_length(params, t_seconds),
-        s_lin=linear_entropy(params, t_seconds),
-        accel=tuple(a),
-        accel_mag=float(np.linalg.norm(a)),
+        l_r=width * ratio,
+        s_lin=1.0 - ratio,
+        accel=a,
+        accel_mag=np.linalg.norm(a, axis=-1),
         brems_power=brems_power_estimate(params, t_seconds),
     )

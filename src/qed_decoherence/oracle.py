@@ -398,7 +398,7 @@ def run_all(params: ModelParams, t_grid_seconds, spec: QuadratureSpec = DEFAULT_
             transform_params: ModelParams | None = None) -> list[OracleReport]:
     """Every oracle against its closed form, aggregated to one worst-case
     report per quantity. Per-quantity failures are collected, never raised."""
-    taus = [params.tau(float(t)) for t in t_grid_seconds]
+    taus = params.tau(np.asarray(t_grid_seconds, dtype=float)).tolist()
     theta = params.theta
     scale = decoherence.coupling_scale(params.alpha)
     p_bar = params.p0_mag if params.p0_mag > 0.0 else params.delta_p
@@ -455,23 +455,16 @@ def run_all(params: ModelParams, t_grid_seconds, spec: QuadratureSpec = DEFAULT_
            detail=f"v0 = {v0c:g}, 40-node angular rule")
 
     # cross-module identity routes
-    rows = []
-    for t in t_grid_seconds:
-        n = fieldmod.mean_photon_number(params, p_bar, float(t))
-        rows.append(OracleReport.compare(
-            "factor2_identity", n,
-            2.0 * decoherence.gamma_vac_factor(params, float(t)) * p_bar**2,
-            ORACLE_CHECKS["factor2_identity"][1], 0, detail=f"p_bar = {p_bar:g}"))
-    reports.append(_worst(rows))
-    rows = []
-    for t in t_grid_seconds:
-        ef = fieldmod.mean_field_energy(params, p_bar, float(t))
-        kin = params.energy_si(0.5 * p_bar**2)
-        ident = kin * 2.0 * observables.mass_shift(params, float(t)) / params.mass0
-        rows.append(OracleReport.compare(
-            "field_mass_identity", ef, ident,
-            ORACLE_CHECKS["field_mass_identity"][1], 0))
-    reports.append(_worst(rows))
+    t = np.asarray(t_grid_seconds, dtype=float)
+    kin = params.energy_si(0.5 * p_bar**2)
+    for quantity, closed, ident, detail in (
+            ("factor2_identity", fieldmod.mean_photon_number(params, p_bar, t),
+             2.0 * decoherence.gamma_vac_factor(params, t) * p_bar**2, f"p_bar = {p_bar:g}"),
+            ("field_mass_identity", fieldmod.mean_field_energy(params, p_bar, t),
+             kin * 2.0 * observables.mass_shift(params, t) / params.mass0, "")):
+        reports.append(_worst([
+            OracleReport.compare(quantity, float(c), float(i), ORACLE_CHECKS[quantity][1], 0,
+                                 detail=detail) for c, i in zip(closed, ident)]))
 
     if include_transform:
         tp = transform_params if transform_params is not None else params
@@ -483,18 +476,20 @@ def fig3_time(params: ModelParams) -> float:
     """t = 3 tau_vac at dp = delta_p, the decohered panel of the density-matrix figure.
 
     tau_vac grows like exp[(3 pi / 2 alpha)(m0 c / delta_p)^2], so at small
-    alpha delta_p^2 the time, or the factors at it, overflow; that is a
-    DomainError, never a panel of NaN.
+    alpha delta_p^2 the time overflows, or the phase Phi delta_p^2 at it passes
+    densmat.MAX_PHASE, where a density-matrix grid can no longer be built;
+    that is a DomainError, never a panel of NaN or of unresolved phases.
     """
     from .params import vacuum_decoherence_time
 
     tau_vac, log_tau_vac = vacuum_decoherence_time(params, params.delta_p)
     t = 3.0 * tau_vac
-    finite = math.isfinite(t)
-    if finite:
+    ok = math.isfinite(t)
+    if ok:
         factors = DecoherenceFactors.at_time(params, t)
-        finite = math.isfinite(factors.gamma) and math.isfinite(factors.phi)
-    if not finite:
+        ok = (math.isfinite(factors.gamma)
+              and abs(factors.phi) * params.delta_p**2 <= densmat.MAX_PHASE)
+    if not ok:
         raise DomainError(
             f"3 tau_vac overflows: ln(tau_vac / s) = {log_tau_vac:.6g} at alpha = "
             f"{params.alpha:g}, delta_p = {params.delta_p:g} m0 c; the decohered "

@@ -67,6 +67,9 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "p0", _as_vec3(self.p0))
         object.__setattr__(self, "r0", _as_vec3(self.r0))
+        for name in ("alpha", "omega_cut", "temperature", "mass0", "delta_p", "p0", "r0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DomainError(f"{name} = {getattr(self, name)} must be finite")
         if self.alpha < 0.0:
             raise DomainError("alpha must be >= 0 (0 selects free evolution)")
         if self.omega_cut <= 0.0:
@@ -121,16 +124,20 @@ class ModelParams:
 
     # -- SI <-> internal conversions (idempotent round trips) -----------------
 
-    def tau(self, t_seconds: float) -> float:
-        return self.omega_cut * t_seconds
+    def tau(self, t_seconds):
+        """Omega t for a time in seconds, or an array of them. SI time enters
+        every closed form here, so negative, NaN and infinite times stop here."""
+        t = np.asarray(t_seconds, dtype=float)
+        ok = (t >= 0.0) & (t < math.inf)
+        if not np.all(ok):
+            raise DomainError(f"time must be >= 0 and finite, got {float(t[~ok].flat[0])!r} s")
+        return (self.omega_cut * t)[()]
 
-    def seconds(self, tau: float) -> float:
+    def seconds(self, tau):
         return tau / self.omega_cut
 
-    def thermal_x(self, t_seconds: float) -> float:
-        """t / tau_F = pi tau / theta; 0 at T = 0."""
-        if self.temperature == 0.0:
-            return 0.0
+    def thermal_x(self, t_seconds):
+        """t / tau_F = pi tau / theta; 0 at T = 0, where theta is infinite."""
         return math.pi * self.tau(t_seconds) / self.theta
 
     def length_si(self, length_internal: float) -> float:

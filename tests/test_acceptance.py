@@ -197,12 +197,12 @@ def test_criterion_09_regime_approximations(default_params):
     worst = 0.0
     # early quadratic branch
     t = p.seconds(1e-3)
-    worst = max(worst, abs(dec.gamma_regime_approx(p, t, "early")
-                           - dec.gamma_factor(p, t)) / dec.gamma_factor(p, t) / 0.02)
+    gamma = DecoherenceFactors.at_time(p, t).gamma
+    worst = max(worst, abs(dec.gamma_regime_approx(p, t, "early") - gamma) / gamma / 0.02)
     # intermediate logarithmic branch
     t = p.seconds(1e3)
-    worst = max(worst, abs(dec.gamma_regime_approx(p, t, "intermediate")
-                           - dec.gamma_factor(p, t)) / dec.gamma_factor(p, t) / 0.02)
+    gamma = DecoherenceFactors.at_time(p, t).gamma
+    worst = max(worst, abs(dec.gamma_regime_approx(p, t, "intermediate") - gamma) / gamma / 0.02)
     # late linear branch against the exact thermal factor
     t = thermal_time(1.0) * 1e3
     worst = max(worst, abs(dec.gamma_regime_approx(p, t, "late")

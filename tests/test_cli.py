@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qed_decoherence import cli
@@ -262,11 +263,51 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_fig3_overflowing_factors_are_domain_error(self, tmp_path, capsys):
-        # tau_vac = e^427 s is finite, but Gamma at 3 tau_vac is not
+        # tau_vac = e^427 s is finite, but the phase Phi delta_p^2 at 3 tau_vac
+        # (~1e204 rad) is far past what double precision resolves
         out = tmp_path / "fig3.csv"
         assert run_cli("figure", "fig3", "--alpha", "1", "--out", str(out)) == cli.EXIT_DOMAIN
         assert "3 tau_vac overflows" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--alpha", "nan", "--t-points", "3"),
+        ("scan", "--temperature-K", "inf"),
+        ("rho", "--t-s", "nan"),
+    ])
+    def test_non_finite_inputs(self, argv, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run_cli(*argv, "--out", str(out)) == cli.EXIT_DOMAIN
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("scan", "--t-min-s", "1e-20", "--t-max-s", "1e150", "--t-points", "3"),
+         "column delta_r is not finite"),
+        (("rho", "--rep", "r", "--t-s", "1e140", "--points", "3"),
+         "column q_mc_over_hbar is not finite"),
+        (("rho", "--t-s", "1e140", "--points", "3"), "phase of rho"),
+    ])
+    def test_late_time_overflow(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with np.errstate(all="ignore"):
+            assert run_cli(*argv, "--out", str(out)) == cli.EXIT_DOMAIN
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--points", "0"), ("--points", "1"), ("--points", "-1"),
+        ("--points", str(cli.RHO_MAX_POINTS + 1)),
+        ("--span", "0"), ("--span", "-2"), ("--span", "nan"), ("--span", "inf"),
+    ])
+    def test_rho_grid_arguments(self, flag, value, monkeypatch, capsys):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        assert run_cli("rho", "--t-s", "1e-19", flag, value) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert flag.lstrip("-") in err
+        if value == str(cli.RHO_MAX_POINTS + 1):
+            assert f"[2, {cli.RHO_MAX_POINTS}]" in err
 
     def test_io(self):
         assert run_cli("scan", "--out", "/nonexistent-dir/x.csv",

@@ -11,7 +11,6 @@ from qed_decoherence import decoherence as dec
 from qed_decoherence.decoherence import (
     DecoherenceFactors,
     classify_regime,
-    gamma_factor,
     gamma_regime_approx,
     gamma_th_factor,
     gamma_vac_factor,
@@ -79,7 +78,7 @@ class TestGammaTh:
 
     def test_additivity_is_exact(self, default_params):
         t = default_params.seconds(123.0)
-        assert gamma_factor(default_params, t) == gamma_vac_factor(
+        assert DecoherenceFactors.at_time(default_params, t).gamma == gamma_vac_factor(
             default_params, t) + gamma_th_factor(default_params, t)
 
 
@@ -106,6 +105,31 @@ class TestLogSinhc:
         with mp.workdps(50):
             ref = mp.log(mp.sinh(mp.mpf(x)) / mp.mpf(x))
         assert dec.log_sinhc(x) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
+class TestTauMinusArctan:
+    @pytest.mark.parametrize("tau", [*np.geomspace(1e-4, 1e3, 57), 1e-2 * (1 - 1e-12),
+                                     1e-2 * (1 + 1e-12), 0.3 * (1 - 1e-15), 0.3,
+                                     0.3 * (1 + 1e-15)])
+    def test_matches_mpmath(self, tau):
+        # 50-digit reference over [1e-4, 1e3], both sides of the old tau = 1e-2
+        # join and the tau = 0.3 series join
+        with mp.workdps(50):
+            ref = mp.mpf(float(tau)) - mp.atan(mp.mpf(float(tau)))
+        assert dec.tau_minus_arctan(float(tau)) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
+class TestLargeTauKernels:
+    @pytest.mark.parametrize("tau", [1.0, 1e8 * (1 - 1e-15), 1e8, 1e77, 1e154, 1e160, 1e300])
+    def test_match_mpmath_past_tau_squared_overflow(self, tau):
+        with mp.workdps(50):
+            t = mp.mpf(tau)
+            refs = (mp.log(mp.sqrt(1 + t * t)), t * t / (1 + t * t),
+                    2 * t / (1 + t * t) ** 2)
+        for kernel, ref in zip((dec.log_sqrt_one_plus_sq, dec.lorentz_weight,
+                                dec.lorentz_weight_slope), refs):
+            # the slope underflows to 0 past tau ~ 1e103, as its value does
+            assert kernel(tau) == pytest.approx(float(ref), rel=1e-14, abs=1e-300)
 
 
 class TestPhase:
@@ -199,13 +223,13 @@ class TestRegimes:
         p = default_params
         t = p.seconds(1e-3)
         assert gamma_regime_approx(p, t, "early") == pytest.approx(
-            gamma_factor(p, t), rel=1e-2)
+            DecoherenceFactors.at_time(p, t).gamma, rel=1e-2)
 
     def test_intermediate_branch_two_percent(self, default_params):
         p = default_params
         t = p.seconds(1e3)  # well below tau_F = 2.4e7/Omega
         assert gamma_regime_approx(p, t, "intermediate") == pytest.approx(
-            gamma_factor(p, t), rel=2e-2)
+            DecoherenceFactors.at_time(p, t).gamma, rel=2e-2)
 
     def test_late_branch_two_percent_vs_thermal(self, default_params):
         # the linear branch approximates Gamma_th; ln(2x)/x < 2% needs x >= ~500
@@ -254,7 +278,8 @@ class TestFactorBundle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             taus = np.geomspace(1e-8, 1e6 * default_params.theta / math.pi, 60)
-            vals = [gamma_factor(default_params, default_params.seconds(tau))
+            vals = [DecoherenceFactors.at_time(default_params,
+                                               default_params.seconds(tau)).gamma
                     for tau in taus]
         assert all(math.isfinite(v) for v in vals)
         assert all(b >= a * (1 - 1e-14) for a, b in zip(vals, vals[1:]))

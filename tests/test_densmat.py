@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qed_decoherence.decoherence import DecoherenceFactors
 from qed_decoherence.densmat import (
     GaussianPacket,
-    element,
     grid_trace,
     mean_displacement_vec,
     rho_p,
@@ -291,17 +290,3 @@ class TestFigureThreeProperty:
 
         t = fig3_time(fig3_params)
         assert momentum_coherence_length(fig3_params, t) < momentum_width(fig3_params, t)
-
-
-class TestElementWrapper:
-    def test_tags_and_values(self, default_params):
-        pk = packet_1d()
-        f = factors_at(default_params, 10.0)
-        el = element("momentum", 0.2, 0.1, pk, f)
-        assert el.rep == "momentum"
-        assert el.value == rho_p(0.2, 0.1, pk, f)
-        assert el.t == f.t
-        el_r = element("position", 1.0, 0.0, pk, f)
-        assert el_r.rep == "position"
-        with pytest.raises(DomainError):
-            element("wigner", 0, 0, pk, f)

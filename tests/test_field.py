@@ -121,24 +121,3 @@ class TestMeanFieldEnergy:
         p = make_params()
         t = p.seconds(tau)
         assert fld.mean_field_energy(p, 0.2, 1.1 * t) >= fld.mean_field_energy(p, 0.2, t)
-
-
-class TestCloudState:
-    def test_bundle(self, default_params):
-        cs = fld.CloudState.at_time(default_params, 0.3, default_params.seconds(5.0))
-        assert cs.n_mean >= 0.0 and cs.e_mean >= 0.0
-        assert cs.delta_f_m == -2.0 * obs.mass_shift(default_params, cs.t_seconds)
-
-
-class TestCoherentElement:
-    def test_peaks_at_beta(self):
-        beta = 0.4 + 0.2j
-        on = fld.coherent_matrix_element(beta, beta, beta, beta)
-        off = fld.coherent_matrix_element(1.5 + 0.0j, beta, beta, beta)
-        assert abs(on) == pytest.approx(1.0, rel=1e-12)
-        assert abs(off) < abs(on)
-
-    def test_vacuum_overlap(self):
-        beta = 0.7 + 0.1j
-        val = fld.coherent_matrix_element(0.0, 0.0, beta, beta)
-        assert abs(val) == pytest.approx(math.exp(-abs(beta) ** 2), rel=1e-12)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,17 @@ class TestMeanMotion:
             t = p.seconds(tau)
             fd = central_derivative(lambda s: obs.mean_velocity(p, s)[0], t)
             assert fd == pytest.approx(obs.mean_acceleration(p, t)[0], rel=1e-6)
+
+    @pytest.mark.parametrize("tau", [1e6, 1e80, 1e160])
+    def test_late_acceleration_finite(self, default_params, tau):
+        # shape 2 tau/(1 + tau^2)^2; (1 + tau^2)^2 itself overflows past ~1e77
+        p = default_params
+        with mp.workdps(50):
+            shape = float(2 * mp.mpf(tau) / (1 + mp.mpf(tau) ** 2) ** 2)
+        want = -2.0 * 2.0 * p.alpha / (3.0 * math.pi) * p.epsilon * shape * 0.1 \
+            * p.omega_cut * 299792458.0
+        assert obs.mean_acceleration(p, p.seconds(tau))[0] == pytest.approx(
+            want, rel=1e-14, abs=1e-300)
 
 
 class TestMass:

@@ -185,6 +185,13 @@ class TestModelParams:
         with pytest.raises(DomainError):
             make_params(temperature=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "omega_cut", "temperature", "mass0",
+                                       "delta_p", "p0", "r0", "v0"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(DomainError):
+            make_params(**{field: value})
+
     def test_rejects_relativistic_v0(self):
         with pytest.raises(DomainError):
             make_params(p0=(1.5, 0.0, 0.0))

@@ -1,0 +1,108 @@
+"""The time-taking public API of decoherence, observables and field.
+
+Every function that takes t_seconds accepts a scalar or a 1-D array of
+times: a bad time (negative, NaN or infinite) is a DomainError, checked once
+in ModelParams.tau, and an array of times gives exactly the stack of the
+scalar results, shapes included.
+"""
+
+import dataclasses
+import inspect
+import math
+
+import numpy as np
+import pytest
+
+from qed_decoherence import decoherence as dec
+from qed_decoherence import field as fld
+from qed_decoherence import observables as obs
+from qed_decoherence.params import DomainError, thermal_time
+
+from conftest import make_params
+
+PARAMS = make_params(temperature=300.0)
+OMEGA = PARAMS.omega_cut
+T_GRID = np.array([0.0, 1e-3, 0.5, 7.0, 1e3, 1e6]) / OMEGA
+T_LATE = thermal_time(300.0) * np.array([10.0, 1e2, 1e3])
+
+# name -> (call with a time argument, valid times)
+CASES = {
+    "decoherence.gamma_vac_factor": (lambda t: dec.gamma_vac_factor(PARAMS, t), T_GRID),
+    "decoherence.gamma_th_factor": (lambda t: dec.gamma_th_factor(PARAMS, t), T_GRID),
+    "decoherence.phase_factor": (lambda t: dec.phase_factor(PARAMS, t), T_GRID),
+    "decoherence.xi": (lambda t: dec.xi(PARAMS, 0.3, t), T_GRID),
+    "decoherence.DecoherenceFactors.at_time":
+        (lambda t: dec.DecoherenceFactors.at_time(PARAMS, t), T_GRID),
+    "decoherence.classify_regime": (lambda t: dec.classify_regime(PARAMS, t), T_GRID),
+    "decoherence.gamma_regime_approx[early]":
+        (lambda t: dec.gamma_regime_approx(PARAMS, t, "early"), T_GRID[:2]),
+    "decoherence.gamma_regime_approx[intermediate]":
+        (lambda t: dec.gamma_regime_approx(PARAMS, t, "intermediate"), T_GRID[3:5]),
+    "decoherence.gamma_regime_approx[late]":
+        (lambda t: dec.gamma_regime_approx(PARAMS, t, "late"), T_LATE),
+    "decoherence.phi_regime_approx[early]":
+        (lambda t: dec.phi_regime_approx(PARAMS, t, "early"), T_GRID[:2]),
+    "decoherence.phi_regime_approx[late]":
+        (lambda t: dec.phi_regime_approx(PARAMS, t, "late"), T_GRID[3:]),
+    **{f"observables.{name}": (lambda t, fn=getattr(obs, name): fn(PARAMS, t), T_GRID)
+       for name in ("momentum_width", "momentum_coherence_length", "linear_entropy",
+                    "mean_displacement", "mean_velocity", "mean_acceleration", "mass_shift",
+                    "dressed_mass", "inv_mass_time_average", "spatial_width",
+                    "spatial_width_free", "spatial_coherence_length",
+                    "brems_power_estimate", "snapshot")},
+    "field.mean_photon_number": (lambda t: fld.mean_photon_number(PARAMS, 0.2, t), T_GRID),
+    "field.mean_field_energy": (lambda t: fld.mean_field_energy(PARAMS, 0.2, t), T_GRID),
+    "field.field_mass_shift": (lambda t: fld.field_mass_shift(PARAMS, t), T_GRID),
+    "field.mode_occupation":
+        (lambda t: fld.mode_occupation(PARAMS, 0.2, 3e18, t, projection=0.05), T_GRID),
+}
+
+
+def test_cases_cover_every_time_taking_function():
+    covered = {name.split("[")[0] for name in CASES}
+    for module in (dec, obs, fld):
+        short = module.__name__.rsplit(".", 1)[1]
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj):   # constructors of a class: its classmethods
+                members = [(f"{name}.{m}", getattr(obj, m)) for m, v in vars(obj).items()
+                           if isinstance(v, classmethod)]
+            else:
+                members = [(name, obj)] if callable(obj) else []
+            for qual, fn in members:
+                if "t_seconds" in inspect.signature(fn).parameters:
+                    assert f"{short}.{qual}" in covered, qual
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bad_time_is_domain_error(name, bad):
+    call, times = CASES[name]
+    with pytest.raises(DomainError, match="time must be >= 0"):
+        call(bad)
+    with pytest.raises(DomainError, match="time must be >= 0"):
+        call(np.array([times[0], bad]))
+
+
+def _assert_stacked(array_result, scalar_results):
+    if dataclasses.is_dataclass(array_result):
+        for f in dataclasses.fields(array_result):
+            _assert_stacked(getattr(array_result, f.name),
+                            [getattr(r, f.name) for r in scalar_results])
+        return
+    got = np.asarray(array_result)
+    want = np.stack([np.asarray(r) for r in scalar_results])
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_array_of_times_stacks_scalar_calls(name):
+    call, times = CASES[name]
+    scalars = [call(float(t)) for t in times]
+    for r in scalars:
+        value = r.gamma if isinstance(r, dec.DecoherenceFactors) else (
+            r.l_p if isinstance(r, obs.ObservableSnapshot) else r)
+        assert value is None or np.ndim(value) in (0, 1)   # a scalar, or one 3-vector
+    _assert_stacked(call(times), scalars)
