@@ -362,14 +362,14 @@ def cmd_rho(config: RunConfig) -> int:
     if config.rep == "p":
         half = config.span * packet.delta_p
         grid = np.linspace(packet.p0[0] - half, packet.p0[0] + half, n)
-        matrix = densmat.rho_p_matrix(grid, packet, factors)
+        matrix = densmat.rho_p_matrix(grid, packet, factors, densmat.MAX_PHASE)
         a_name, b_name = "p_over_m0c", "p_prime_over_m0c"
     else:
         w = densmat.width_t(packet, factors)
         center = float(densmat.mean_displacement_vec(packet, factors)[0])
         half = config.span * w / math.sqrt(3.0)
         grid = np.linspace(center - half, center + half, n)
-        matrix = densmat.rho_r_matrix(grid, packet, factors)
+        matrix = densmat.rho_r_matrix(grid, packet, factors, densmat.MAX_PHASE)
         a_name, b_name = "q_mc_over_hbar", "q_prime_mc_over_hbar"
     header = ["t_s", a_name, b_name, "re", "im", "abs"]
     table = _table(header, [config.t_s, np.repeat(grid, n), np.tile(grid, n),

@@ -192,16 +192,16 @@ def rho_r(q, q_prime, packet: GaussianPacket, factors: DecoherenceFactors) -> co
 # vectorized 1-D grids (the figure and oracle workhorses)
 # ---------------------------------------------------------------------------
 
-# Largest phase theta (rad) a grid may carry: 1/eps, where the rounding of
-# theta alone reaches 1 rad.
+# Past 1/eps rad the rounding of the phase theta alone exceeds 1 rad and re, im carry no
+# digits; |rho| does not depend on theta, so only callers that write re and im pass it.
 MAX_PHASE = 1.0 / np.finfo(float).eps
 
 
 def _factored_grid(x: np.ndarray, norm: float, a: float, c: float, g: float,
-                   phase2: float, phase1: float) -> np.ndarray:
+                   phase2: float, phase1: float, max_phase: float) -> np.ndarray:
     """norm v_i M_ij conj(v_j) on the grid x (see the module docstring), with
     M_ij = exp(-a[(x_i-c)^2 + (x_j-c)^2] - g (x_i-x_j)^2) and
-    v = exp(i theta), theta = phase2 x^2 + phase1 x.
+    v = exp(i theta), theta = phase2 x^2 + phase1 x, |theta| <= max_phase.
 
     theta is taken about c, where the packet sits: the constant theta(c)
     cancels in v_i conj(v_j), and the rest grows with x - c rather than with
@@ -217,10 +217,10 @@ def _factored_grid(x: np.ndarray, norm: float, a: float, c: float, g: float,
     m -= env[None, :]
     np.exp(m, out=m)
     theta = u * (phase2 * u + (2.0 * phase2 * c + phase1))
-    if np.max(np.abs(theta)) > MAX_PHASE:
+    if np.max(np.abs(theta)) > max_phase:
         raise DomainError(
             f"the phase of rho reaches {np.max(np.abs(theta)):.3g} rad on this grid; past "
-            f"{MAX_PHASE:.3g} rad its rounding alone exceeds 1 rad, so re and im carry no digits")
+            f"{max_phase:.3g} rad its rounding alone exceeds 1 rad, so re and im carry no digits")
     w = math.sqrt(norm) * np.exp(1j * theta)
     out = np.multiply.outer(w, w.conj())
     out *= m
@@ -229,18 +229,18 @@ def _factored_grid(x: np.ndarray, norm: float, a: float, c: float, g: float,
     return out
 
 
-def rho_p_matrix(p_grid: np.ndarray, packet: GaussianPacket,
-                 factors: DecoherenceFactors) -> np.ndarray:
-    """Full (N, N) momentum matrix rho(p_i, p_j) on a 1-D grid."""
+def rho_p_matrix(p_grid: np.ndarray, packet: GaussianPacket, factors: DecoherenceFactors,
+                 max_phase: float = math.inf) -> np.ndarray:
+    """Full (N, N) momentum matrix rho(p_i, p_j) on a 1-D grid (max_phase: see MAX_PHASE)."""
     if packet.dims != 1:
         raise DomainError("rho_p_matrix is 1-D only")
     return _factored_grid(np.asarray(p_grid, dtype=float), packet.norm,
                           0.75 / packet.delta_p**2, packet.p0[0], factors.gamma,
-                          factors.phi, -packet.r0[0])
+                          factors.phi, -packet.r0[0], max_phase)
 
 
-def rho_r_matrix(q_grid: np.ndarray, packet: GaussianPacket,
-                 factors: DecoherenceFactors) -> np.ndarray:
+def rho_r_matrix(q_grid: np.ndarray, packet: GaussianPacket, factors: DecoherenceFactors,
+                 max_phase: float = math.inf) -> np.ndarray:
     """Full (N, N) coordinate matrix rho(q_i, q_j) on a 1-D displacement grid."""
     if packet.dims != 1:
         raise DomainError("rho_r_matrix is 1-D only")
@@ -251,7 +251,7 @@ def rho_r_matrix(q_grid: np.ndarray, packet: GaussianPacket,
                           packet.norm * packet.delta_p / math.sqrt(wt2), 0.75 / wt2,
                           -2.0 * factors.phi * p0, scale * factors.gamma,
                           -scale * factors.phi,
-                          (packet.delta_r**2 + 6.0 * factors.gamma) / wt2 * p0)
+                          (packet.delta_r**2 + 6.0 * factors.gamma) / wt2 * p0, max_phase)
 
 
 def grid_trace(grid: np.ndarray, matrix: np.ndarray) -> float:

@@ -69,19 +69,24 @@ def momentum_width(params: ModelParams, t_seconds):
 
 def momentum_coherence_length(params: ModelParams, t_seconds):
     """l_p(t) = delta_p / sqrt(1 + 8 dp^2 Gamma(t)/3), m0 c; falls off as 1/sqrt(t)."""
-    return snapshot(params, t_seconds).l_p
+    gamma = DecoherenceFactors.at_time(params, t_seconds).gamma
+    return params.delta_p * _coherence_ratio(params, gamma)
 
 
 def linear_entropy(params: ModelParams, t_seconds):
     """S_lin(t) = 1 - 1/sqrt(1 + 6 Gamma hbar^2/delta_r^2): purity loss, 0 at t=0."""
-    return snapshot(params, t_seconds).s_lin
+    return 1.0 - _coherence_ratio(params, DecoherenceFactors.at_time(params, t_seconds).gamma)
 
 
 # -- mean motion and dressing -------------------------------------------------
 
+def _displacement(params: ModelParams, phi):
+    return np.multiply.outer(-2.0 * phi, params.p0) * HBAR / (params.mass0 * SPEED_OF_LIGHT)
+
+
 def mean_displacement(params: ModelParams, t_seconds):
     """<q>_t = -2 p0 Phi(t) hbar, meters, per component."""
-    return snapshot(params, t_seconds).mean_q
+    return _displacement(params, DecoherenceFactors.at_time(params, t_seconds).phi)
 
 
 def mean_velocity(params: ModelParams, t_seconds):
@@ -122,17 +127,21 @@ def inv_mass_time_average(params: ModelParams, t_seconds):
 
 # -- coordinate space ----------------------------------------------------------
 
+def _width(params: ModelParams, tau, inv_mass_ratio, gamma):
+    dr = params.delta_r_internal
+    drift = params.delta_p * (tau / params.epsilon) * inv_mass_ratio / dr
+    return params.length_si(dr * np.sqrt(1.0 + drift * drift + 6.0 * gamma / dr**2))
+
+
 def spatial_width(params: ModelParams, t_seconds):
     """delta_r(t) = dr sqrt(1 + (dp t <1/m>)^2/dr^2 + 6 Gamma hbar^2/dr^2), meters."""
-    return snapshot(params, t_seconds).delta_r_t
+    f = DecoherenceFactors.at_time(params, t_seconds)
+    return _width(params, f.t, _inv_mass_avg_ratio(params, f.t), f.gamma)
 
 
 def spatial_width_free(params: ModelParams, t_seconds):
     """Free spread delta_r(t)^0 = dr sqrt(1 + dp^2 t^2 / (dr^2 m0^2)), meters."""
-    t_int = params.tau(t_seconds) / params.epsilon
-    dr = params.delta_r_internal
-    drift = params.delta_p * t_int / dr
-    return params.length_si(dr * np.sqrt(1.0 + drift * drift))
+    return _width(params, params.tau(t_seconds), 1.0, 0.0)
 
 
 def spatial_coherence_length(params: ModelParams, t_seconds):
@@ -141,10 +150,16 @@ def spatial_coherence_length(params: ModelParams, t_seconds):
     l_r/delta_r(t) coincides with l_p/delta_p; for alpha > 0 it stays strictly
     below the free coherence length delta_r(t)^0.
     """
-    return snapshot(params, t_seconds).l_r
+    f = DecoherenceFactors.at_time(params, t_seconds)
+    return (_width(params, f.t, _inv_mass_avg_ratio(params, f.t), f.gamma)
+            * _coherence_ratio(params, f.gamma))
 
 
 # -- radiation ----------------------------------------------------------------
+
+def _brems_power(params: ModelParams, acc):
+    return params.alpha * HBAR * np.sum(acc * acc, axis=-1) / SPEED_OF_LIGHT**2
+
 
 def brems_power_estimate(params: ModelParams, t_seconds):
     """Radiated-power scale alpha hbar <qddot>^2 / c^2 (order-of-magnitude estimate).
@@ -153,8 +168,7 @@ def brems_power_estimate(params: ModelParams, t_seconds):
     scaling at fixed Omega t, which is what rules radiation out as the vacuum
     decoherence mechanism.
     """
-    acc = mean_acceleration(params, t_seconds)
-    return params.alpha * HBAR * np.sum(acc * acc, axis=-1) / SPEED_OF_LIGHT**2
+    return _brems_power(params, mean_acceleration(params, t_seconds))
 
 
 # -- snapshot ------------------------------------------------------------------
@@ -185,34 +199,33 @@ class ObservableSnapshot:
 
 
 def snapshot(params: ModelParams, t_seconds) -> ObservableSnapshot:
-    """Every observable at t_seconds (a scalar or a 1-D array), from one factor
-    bundle. The quantities that depend on Gamma or Phi are computed here only;
-    their functions above read them from a snapshot."""
+    """Every observable at t_seconds (a scalar or a 1-D array), each computed
+    once, with Gamma and Phi from one factor bundle."""
     f = DecoherenceFactors.at_time(params, t_seconds)
     ratio = _coherence_ratio(params, f.gamma)
-    q = np.multiply.outer(-2.0 * f.phi, params.p0) * HBAR / (params.mass0 * SPEED_OF_LIGHT)
+    inv_mass_ratio = _inv_mass_avg_ratio(params, f.t)
+    shift = mass_shift(params, t_seconds)
+    q = _displacement(params, f.phi)
     v = mean_velocity(params, t_seconds)
     a = mean_acceleration(params, t_seconds)
-    dr = params.delta_r_internal
-    drift = params.delta_p * (f.t / params.epsilon) * _inv_mass_avg_ratio(params, f.t) / dr
-    width = params.length_si(dr * np.sqrt(1.0 + drift * drift + 6.0 * f.gamma / dr**2))
+    width = _width(params, f.t, inv_mass_ratio, f.gamma)
     return ObservableSnapshot(
         t_seconds=t_seconds,
         factors=f,
-        delta_p_t=momentum_width(params, t_seconds),
+        delta_p_t=np.full(np.shape(f.t), params.delta_p)[()],
         l_p=params.delta_p * ratio,
         mean_q=q,
         mean_q_mag=np.linalg.norm(q, axis=-1),
         mean_v=v,
         mean_v_mag=np.linalg.norm(v, axis=-1),
-        mass_t=dressed_mass(params, t_seconds),
-        delta_m=mass_shift(params, t_seconds),
-        inv_mass_avg=inv_mass_time_average(params, t_seconds),
+        mass_t=params.mass0 + shift,
+        delta_m=shift,
+        inv_mass_avg=inv_mass_ratio / params.mass0,
         delta_r_t=width,
-        delta_r_free=spatial_width_free(params, t_seconds),
+        delta_r_free=_width(params, f.t, 1.0, 0.0),
         l_r=width * ratio,
         s_lin=1.0 - ratio,
         accel=a,
         accel_mag=np.linalg.norm(a, axis=-1),
-        brems_power=brems_power_estimate(params, t_seconds),
+        brems_power=_brems_power(params, a),
     )

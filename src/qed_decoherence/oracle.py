@@ -476,25 +476,22 @@ def fig3_time(params: ModelParams) -> float:
     """t = 3 tau_vac at dp = delta_p, the decohered panel of the density-matrix figure.
 
     tau_vac grows like exp[(3 pi / 2 alpha)(m0 c / delta_p)^2], so at small
-    alpha delta_p^2 the time overflows, or the phase Phi delta_p^2 at it passes
-    densmat.MAX_PHASE, where a density-matrix grid can no longer be built;
-    that is a DomainError, never a panel of NaN or of unresolved phases.
+    alpha delta_p^2 the time, or the factors at it, overflow; that is a
+    DomainError, never a panel of NaN.
     """
     from .params import vacuum_decoherence_time
 
     tau_vac, log_tau_vac = vacuum_decoherence_time(params, params.delta_p)
     t = 3.0 * tau_vac
-    ok = math.isfinite(t)
-    if ok:
+    what = "3 tau_vac overflows"
+    if math.isfinite(t):
         factors = DecoherenceFactors.at_time(params, t)
-        ok = (math.isfinite(factors.gamma)
-              and abs(factors.phi) * params.delta_p**2 <= densmat.MAX_PHASE)
-    if not ok:
-        raise DomainError(
-            f"3 tau_vac overflows: ln(tau_vac / s) = {log_tau_vac:.6g} at alpha = "
-            f"{params.alpha:g}, delta_p = {params.delta_p:g} m0 c; the decohered "
-            "panel needs a larger alpha delta_p^2")
-    return t
+        if math.isfinite(factors.gamma) and math.isfinite(factors.phi):
+            return t
+        what = f"the factors at 3 tau_vac = {t:.6g} s overflow"
+    raise DomainError(
+        f"{what}: ln(tau_vac / s) = {log_tau_vac:.6g} at alpha = {params.alpha:g}, "
+        f"delta_p = {params.delta_p:g} m0 c; the decohered panel needs a larger alpha delta_p^2")
 
 
 def transform_reports(params: ModelParams, spec: QuadratureSpec = DEFAULT_SPEC,

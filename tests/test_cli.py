@@ -237,6 +237,16 @@ class TestRho:
         assert header[-3:] == ["re", "im", "abs"]
         assert len(rows) == 49
 
+    @pytest.mark.parametrize("rep, t_s", [("p", "4.8e-5"), ("r", "1.1e-4")])
+    def test_just_inside_the_phase_bound(self, rep, t_s, tmp_path):
+        # at the defaults the grid phase reaches 1/eps rad (densmat.MAX_PHASE) at
+        # t = 4.83e-5 s for --rep p and 1.17e-4 s for --rep r
+        out = tmp_path / "rho.csv"
+        assert run_cli("rho", "--rep", rep, "--t-s", t_s, "--points", "3",
+                       "--out", str(out)) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 9
+
     def test_position_grid_hermitian(self, tmp_path):
         out = tmp_path / "rho.csv"
         assert run_cli("rho", "--rep", "r", "--t-s", "1e-19", "--points", "5",
@@ -263,12 +273,25 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_fig3_overflowing_factors_are_domain_error(self, tmp_path, capsys):
-        # tau_vac = e^427 s is finite, but the phase Phi delta_p^2 at 3 tau_vac
-        # (~1e204 rad) is far past what double precision resolves
+        # 3 tau_vac = 5.9e298 s is finite, but Omega t = 5.9e317 overflows, and
+        # with it Gamma and Phi
         out = tmp_path / "fig3.csv"
-        assert run_cli("figure", "fig3", "--alpha", "1", "--out", str(out)) == cli.EXIT_DOMAIN
-        assert "3 tau_vac overflows" in capsys.readouterr().err
+        with np.errstate(all="ignore"):
+            assert run_cli("figure", "fig3", "--alpha", "0.645",
+                           "--out", str(out)) == cli.EXIT_DOMAIN
+        assert "the factors at 3 tau_vac" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["5", "1"])
+    def test_fig3_at_weak_coupling_is_finite(self, alpha, tmp_path):
+        # 3 tau_vac = 2e22 s (alpha 5) and 1e186 s (alpha 1): |Phi| dp^2 is far past
+        # what the phases resolve, but fig3 writes |rho|, which does not depend on them
+        out = tmp_path / "fig3.csv"
+        assert run_cli("figure", "fig3", "--alpha", alpha, "--out", str(out)) == 0
+        _, _, rows = read_csv(out)
+        values = np.array([[float(v) for v in r[1:]] for r in rows])
+        assert values.shape == (2 * 81**2, 4) and np.all(np.isfinite(values))
+        assert values[-1, 0] > 1e22
 
     @pytest.mark.parametrize("argv", [
         ("scan", "--alpha", "nan", "--t-points", "3"),
@@ -286,6 +309,8 @@ class TestExitCodes:
         (("rho", "--rep", "r", "--t-s", "1e140", "--points", "3"),
          "column q_mc_over_hbar is not finite"),
         (("rho", "--t-s", "1e140", "--points", "3"), "phase of rho"),
+        (("rho", "--t-s", "4.9e-5", "--points", "3"), "phase of rho"),
+        (("rho", "--rep", "r", "--t-s", "1.2e-4", "--points", "3"), "phase of rho"),
     ])
     def test_late_time_overflow(self, argv, message, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qed_decoherence.decoherence import DecoherenceFactors
 from qed_decoherence.densmat import (
+    MAX_PHASE,
     GaussianPacket,
     grid_trace,
     mean_displacement_vec,
@@ -270,6 +271,22 @@ class TestFactoredGrids:
         np.testing.assert_allclose(np.diagonal(m_p).real,
                                    np.diagonal(rho_p_matrix(p_grid, pk, f0)).real, rtol=1e-14)
         assert m_p[0, -1] == 0.0
+
+
+    def test_phase_bound_is_opt_in(self):
+        # |Phi| p^2 ~ 1e18 rad: the phases carry no digits, |rho| = N M_ij still does
+        pk = packet_1d(p0=0.1)
+        gamma = 50.0
+        f = DecoherenceFactors(t=1e20, gamma_vac=gamma, gamma_th=0.0, gamma=gamma, phi=-1e20)
+        f_no_phase = DecoherenceFactors(t=1e20, gamma_vac=gamma, gamma_th=0.0, gamma=gamma,
+                                        phi=0.0)
+        grid = np.linspace(0.1 - 4 * pk.delta_p, 0.1 + 4 * pk.delta_p, 9)
+        np.testing.assert_allclose(np.abs(rho_p_matrix(grid, pk, f)),
+                                   np.abs(rho_p_matrix(grid, pk, f_no_phase)), rtol=1e-14)
+        with pytest.raises(DomainError, match="phase of rho"):
+            rho_p_matrix(grid, pk, f, MAX_PHASE)
+        with pytest.raises(DomainError, match="phase of rho"):
+            rho_r_matrix(np.linspace(-1.0, 1.0, 5), pk, f, MAX_PHASE)
 
 
 class TestFigureThreeProperty:
