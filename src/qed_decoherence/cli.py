@@ -53,11 +53,13 @@ class _Parser(argparse.ArgumentParser):
 @dataclass(frozen=True)
 class RunConfig:
     """One resolved CLI invocation: physical parameters, command, time grid,
-    output destination, and CSV precision."""
+    output destination, and CSV precision. user_set names the config keys that
+    the config file or a CLI flag set."""
 
     params: ModelParams
     command: str
     resolved: dict
+    user_set: frozenset[str]
     out: str | None = None
     sigfigs: int = 12
     t_min_s: float | None = None
@@ -86,11 +88,12 @@ class RunConfig:
             raise DomainError(f"span = {self.span} must be positive and finite")
 
     @classmethod
-    def from_args(cls, params: ModelParams, resolved: dict, args) -> "RunConfig":
+    def from_args(cls, params: ModelParams, resolved: dict, user_set: frozenset[str],
+                  args) -> "RunConfig":
         fields = ("out", "sigfigs", "t_min_s", "t_max_s", "t_points", "t_scale",
                   "which", "plot_script", "rep", "t_s", "points", "span")
         kw = {f: getattr(args, f) for f in fields if getattr(args, f, None) is not None}
-        return cls(params=params, command=args.command, resolved=resolved, **kw)
+        return cls(params, args.command, resolved, user_set, **kw)
 
 
 def _fmt(value: float, sigfigs: int) -> str:
@@ -267,9 +270,7 @@ plt.show()
 
 
 def cmd_figure(config: RunConfig) -> int:
-    user_set = frozenset(k for k in cfg.CONFIG_KEYS
-                         if config.resolved.get(k) != cfg.DEFAULTS[k])
-    header, columns, used = _figure_rows(config.which, config.params, user_set)
+    header, columns, used = _figure_rows(config.which, config.params, config.user_set)
     comments = [f"qed-decoherence figure {config.which}",
                 f"alpha = {used.alpha!r}, omega_cut_rad_s = {used.omega_cut!r}, "
                 f"temperature_K = {used.temperature!r}, delta_p_over_m0c = {used.delta_p!r}",
@@ -445,11 +446,18 @@ def main(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     try:
-        overrides = {key: getattr(args, key) for key in cfg.CONFIG_KEYS}
-        resolved = cfg.resolve(args.config, overrides)
+        # the keys the config file or a flag set, whatever their values
+        user = {key: getattr(args, key) for key in cfg.CONFIG_KEYS
+                if getattr(args, key) is not None}
+        if args.config is not None:
+            user = cfg.parse_config_file(args.config) | user
+        resolved = cfg.resolve(None, user)
         params = cfg.build_params(resolved)
-        config = RunConfig.from_args(params, resolved, args)
-        return _COMMANDS[config.command](config)
+        config = RunConfig.from_args(params, resolved, frozenset(user), args)
+        # _table refuses every non-finite value scan, figure and rho would write, and
+        # verify and timescales write nan/inf on purpose: numpy's warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[config.command](config)
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN

@@ -130,7 +130,9 @@ def inv_mass_time_average(params: ModelParams, t_seconds):
 def _width(params: ModelParams, tau, inv_mass_ratio, gamma):
     dr = params.delta_r_internal
     drift = params.delta_p * (tau / params.epsilon) * inv_mass_ratio / dr
-    return params.length_si(dr * np.sqrt(1.0 + drift * drift + 6.0 * gamma / dr**2))
+    # dr sqrt(1 + drift^2 + 6 Gamma/dr^2) in hypot form: drift^2 overflows long
+    # before delta_r does
+    return params.length_si(dr * np.hypot(drift, np.sqrt(1.0 + 6.0 * gamma / dr**2)))
 
 
 def spatial_width(params: ModelParams, t_seconds):

@@ -21,7 +21,7 @@ import numpy as np
 from . import decoherence, densmat, field as fieldmod, observables
 from .decoherence import DecoherenceFactors
 from .densmat import GaussianPacket
-from .params import DomainError, ModelParams
+from .params import DomainError, ModelParams, vacuum_decoherence_time
 from .quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -63,8 +63,6 @@ def small_omega_series(kind: str, ell: float, tau: float, theta: float = math.in
     thermal:       extra factor coth(theta w/2) - 1 ~ 2/(theta w) - 1:
                    tau^2 ell/theta - (tau^2/2 + tau^2/theta) ell^2/2
     total:         vac + thermal (coth = 1 + (coth - 1), exact split)
-    field:         e^-w (1-cos w tau) ~ w^2 tau^2/2 (1 - w):
-                   tau^2 ell^3/6 - tau^2 ell^4/8
     """
     t2 = tau * tau
     if kind in ("vac", "photon"):
@@ -76,95 +74,79 @@ def small_omega_series(kind: str, ell: float, tau: float, theta: float = math.in
             return 0.0
         return t2 * ell / theta - (0.5 * t2 + t2 / theta) * ell * ell / 2.0
     if kind == "total":
-        return small_omega_series("vac", ell, tau) + small_omega_series(
-            "thermal", ell, tau, theta
-        )
-    if kind == "field":
-        return t2 * ell**3 * (1.0 / 6.0 - ell / 8.0)
+        return (small_omega_series("vac", ell, tau)
+                + small_omega_series("thermal", ell, tau, theta))
     raise DomainError(f"unknown series kind {kind!r}")
 
 
-def _geometric_breakpoints(a: float, b: float) -> tuple[float, ...]:
-    """Decade points between a and b (pre-resolves widely separated scales)."""
-    if a <= 0.0 or b <= a:
-        return ()
-    lo = math.ceil(math.log10(a))
-    hi = math.floor(math.log10(b))
-    return tuple(10.0**k for k in range(lo, hi + 1) if a < 10.0**k < b)
+def _frequency_integral(tau: float, theta: float, kind: str | None, combined, envelope,
+                        trig: str, tail_bound, spec: QuadratureSpec, smooth=None) -> QuadResult:
+    """integral_0^wmax dw combined(w), combined = smooth - envelope * trig(w tau): the
+    one split policy of every frequency oracle.
 
-
-def _thermal_breakpoints(theta: float, a: float, b: float) -> tuple[float, ...]:
-    if math.isinf(theta):
-        return ()
-    return tuple(p for p in (0.2 / theta, 2.0 / theta, 20.0 / theta, 200.0 / theta)
-                 if a < p < b)
-
-
-def _halfperiod_breakpoints(tau: float, a: float, b: float,
-                            max_points: int = 80) -> tuple[float, ...]:
-    """Panel boundaries at the oscillation half periods (used below the
-    cycle-summation threshold, where a handful of periods still deserve
-    aligned panels)."""
-    if tau <= 2.0:
-        return ()
-    h = math.pi / tau
-    return tuple(a + k * h for k in range(1, max_points) if a + k * h < b)
-
-
-def _quad_one_minus_cos_over_w(tau: float, weight, theta: float,
-                               kind: str, spec: QuadratureSpec) -> QuadResult:
-    """integral_0^wmax dw e^-w weight(w) (1 - cos w tau)/w with the split policy.
-
-    weight(w) is 1 (vacuum/photon), coth(theta w/2) - 1 (thermal), or
-    coth(theta w/2) (total).
+    kind names the small_omega_series head on [0, ell], where the integrand
+    carries a 1/w; None marks an integrand regular at w = 0, integrated from 0.
+    Up to the oscillation threshold the combined form is integrated whole, with
+    panels at the decades, the thermal scales k/theta and the first 79 half
+    periods. Above it the combined form covers the first ~10 periods (the 1/w
+    envelope is too steep there for clean cycle sums), then smooth minus the
+    epsilon-accelerated cycle sum of envelope * trig. smooth defaults to the
+    envelope, whose 1/w also gets the decade points; a separate smooth part (the
+    phase's tau e^-w) gets only (1, 5, 20). tail_bound(wmax) bounds the
+    discarded tail; it is reported, never added.
     """
     if tau <= 0.0:
         raise DomainError("oracle quadratures need t > 0")
     wmax = spec.cutoff_multiple
-    ell = 1e-6 * min(1.0 / tau, 1.0 / theta if not math.isinf(theta) else 1.0, 1.0)
-    head = QuadResult(value=small_omega_series(kind, ell, tau, theta), error=0.0, panels=0)
+    fixed = (1.0, 5.0, 20.0)    # the scales of e^-w
+    if kind is None:
+        ell = wc = 0.0
+        head = QuadResult(0.0, 0.0, 0)
+    else:
+        ell = 1e-6 * min(1.0 / tau, 1.0 / theta if not math.isinf(theta) else 1.0, 1.0)
+        wc = min(1.0, 20.0 * math.pi / tau)
+        head = QuadResult(small_omega_series(kind, ell, tau, theta), 0.0, 0)
 
-    def combined(w):
-        return np.exp(-w) * weight(w) * _one_minus_cos(w * tau) / w
-
-    def envelope(w):
-        return np.exp(-w) * weight(w) / w
+    def scales(lo: float, hi: float) -> tuple[float, ...]:
+        """Decades in [lo, hi] (none from lo = 0) and the thermal scales; adaptive
+        keeps the points strictly inside its interval."""
+        pts = [10.0**k for k in range(math.ceil(math.log10(lo)),
+                                      math.floor(math.log10(hi)) + 1)] if lo > 0.0 else []
+        if not math.isinf(theta):
+            pts += [c / theta for c in (0.2, 2.0, 20.0, 200.0)]
+        return tuple(pts)
 
     if tau <= spec.oscillation_threshold:
-        brk = (_geometric_breakpoints(ell, wmax) + _thermal_breakpoints(theta, ell, wmax)
-               + _halfperiod_breakpoints(tau, ell, wmax) + (1.0, 5.0, 20.0))
-        body = adaptive(combined, ell, wmax, spec, breakpoints=brk)
-        result = head + body
+        h = math.pi / tau
+        half = tuple(ell + k * h for k in range(1, 80)) if tau > 2.0 else ()
+        result = head + adaptive(combined, ell, wmax, spec,
+                                 breakpoints=scales(ell, wmax) + half + fixed)
     else:
-        # combined form through the first ~10 periods (the 1/w envelope is too
-        # steep there for clean cycle sums), then the 1 - cos split with
-        # epsilon-accelerated cycle summation of the cosine part
-        wc = min(1.0, 20.0 * math.pi / tau)
-        brk_head = _geometric_breakpoints(ell, wc) + _thermal_breakpoints(theta, ell, wc)
-        near = adaptive(combined, ell, wc, spec, breakpoints=brk_head)
-        brk_body = _geometric_breakpoints(wc, wmax) + _thermal_breakpoints(theta, wc, wmax) + (
-            1.0, 5.0, 20.0
-        )
-        smooth = adaptive(envelope, wc, wmax, spec, breakpoints=brk_body)
-        osc = oscillatory(envelope, tau, wc, wmax, "cos", spec)
-        result = head + near + smooth + (-osc)
-    # analytic bound on the discarded tail, never added to the value
-    if kind in ("vac", "photon"):
-        tail_weight = 1.0
-    else:
-        tail_weight = float(np.max(np.abs(np.atleast_1d(weight(np.array([wmax]))))))
-    result.tail_bound = 2.0 * tail_weight * math.exp(-wmax) / wmax
+        if wc > ell:    # a regular integrand (kind None) has no near piece
+            head = head + adaptive(combined, ell, wc, spec, breakpoints=scales(ell, wc))
+        body = (adaptive(envelope, wc, wmax, spec, breakpoints=scales(wc, wmax) + fixed)
+                if smooth is None else adaptive(smooth, wc, wmax, spec, breakpoints=fixed))
+        osc = oscillatory(envelope, tau, wc, wmax, trig, spec)
+        result = head + body + (-osc)
+    result.tail_bound = tail_bound(wmax)
     return result
+
+
+def _omc_kernel(tau: float, weight) -> tuple:
+    """combined form, envelope, trig and tail bound of e^-w weight(w) (1 - cos w tau)/w."""
+    return (lambda w: np.exp(-w) * weight(w) * _one_minus_cos(w * tau) / w,
+            lambda w: np.exp(-w) * weight(w) / w, "cos",
+            lambda wmax: 2.0 * float(weight(wmax)) * math.exp(-wmax) / wmax)
 
 
 def quad_gamma_vac(tau: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
     """integral dw e^-w (1-cos w tau)/w; closed form ln sqrt(1 + tau^2)."""
-    return _quad_one_minus_cos_over_w(tau, lambda w: 1.0, math.inf, "vac", spec)
+    return _frequency_integral(tau, math.inf, "vac", *_omc_kernel(tau, lambda w: 1.0), spec)
 
 
 def quad_photon(tau: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
     """Same frequency integral as the vacuum factor; closed form ln(1 + tau^2)/2."""
-    return _quad_one_minus_cos_over_w(tau, lambda w: 1.0, math.inf, "photon", spec)
+    return _frequency_integral(tau, math.inf, "photon", *_omc_kernel(tau, lambda w: 1.0), spec)
 
 
 def quad_gamma_th(tau: float, theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
@@ -175,9 +157,8 @@ def quad_gamma_th(tau: float, theta: float, spec: QuadratureSpec = DEFAULT_SPEC)
         raise DomainError("theta must be positive (T > 0)")
     if math.isinf(theta):
         return QuadResult(0.0, 0.0, 0)
-    return _quad_one_minus_cos_over_w(
-        tau, lambda w: _cothm1(0.5 * theta * w), theta, "thermal", spec
-    )
+    weight = lambda w: _cothm1(0.5 * theta * w)
+    return _frequency_integral(tau, theta, "thermal", *_omc_kernel(tau, weight), spec)
 
 
 def quad_gamma_total(tau: float, theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
@@ -186,56 +167,25 @@ def quad_gamma_total(tau: float, theta: float, spec: QuadratureSpec = DEFAULT_SP
     if math.isinf(theta):
         return quad_gamma_vac(tau, spec)
     weight = lambda w: 1.0 + _cothm1(0.5 * theta * w)
-    return _quad_one_minus_cos_over_w(tau, weight, theta, "total", spec)
+    return _frequency_integral(tau, theta, "total", *_omc_kernel(tau, weight), spec)
 
 
 def quad_phase(tau: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
     """integral dw e^-w (w tau - sin w tau)/w; closed form tau - arctan tau."""
-    if tau <= 0.0:
-        raise DomainError("oracle quadratures need t > 0")
-    wmax = spec.cutoff_multiple
-    ell = 1e-6 * min(1.0 / tau, 1.0)
-    head = QuadResult(small_omega_series("phase", ell, tau), 0.0, 0)
-
     def combined(w):
         wt = w * tau
         return np.exp(-w) * (wt - np.sin(wt)) / w
 
-    if tau <= spec.oscillation_threshold:
-        body = adaptive(combined, ell, wmax, spec,
-                        breakpoints=_geometric_breakpoints(ell, wmax)
-                        + _halfperiod_breakpoints(tau, ell, wmax) + (1.0, 5.0, 20.0))
-        result = head + body
-    else:
-        wc = min(1.0, 20.0 * math.pi / tau)
-        near = adaptive(combined, ell, wc, spec, breakpoints=_geometric_breakpoints(ell, wc))
-        linear = adaptive(lambda w: tau * np.exp(-w), wc, wmax, spec,
-                          breakpoints=(1.0, 5.0, 20.0))
-        osc = oscillatory(lambda w: np.exp(-w) / w, tau, wc, wmax, "sin", spec)
-        result = head + near + linear + (-osc)
-    result.tail_bound = tau * math.exp(-wmax)
-    return result
+    return _frequency_integral(tau, math.inf, "phase", combined, lambda w: np.exp(-w) / w, "sin",
+                               lambda wmax: tau * math.exp(-wmax), spec,
+                               smooth=lambda w: tau * np.exp(-w))
 
 
 def quad_field_energy(tau: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
     """integral dw e^-w (1-cos w tau); closed form tau^2/(1 + tau^2) (times Omega in SI)."""
-    if tau <= 0.0:
-        raise DomainError("oracle quadratures need t > 0")
-    wmax = spec.cutoff_multiple
-
-    def combined(w):
-        return np.exp(-w) * _one_minus_cos(w * tau)
-
-    if tau <= spec.oscillation_threshold:
-        result = adaptive(combined, 0.0, wmax, spec,
-                          breakpoints=_halfperiod_breakpoints(tau, 0.0, wmax)
-                          + (1.0, 5.0, 20.0))
-    else:
-        smooth = adaptive(lambda w: np.exp(-w), 0.0, wmax, spec, breakpoints=(1.0, 5.0, 20.0))
-        osc = oscillatory(lambda w: np.exp(-w), tau, 0.0, wmax, "cos", spec)
-        result = smooth + (-osc)
-    result.tail_bound = 2.0 * math.exp(-wmax)
-    return result
+    return _frequency_integral(
+        tau, math.inf, None, lambda w: np.exp(-w) * _one_minus_cos(w * tau), lambda w: np.exp(-w),
+        "cos", lambda wmax: 2.0 * math.exp(-wmax), spec)
 
 
 def quad_photon_continuum(tau: float, v0: float = 0.0, n_angular: int = 40,
@@ -254,12 +204,14 @@ def quad_photon_continuum(tau: float, v0: float = 0.0, n_angular: int = 40,
     total = 0.0
     err = 0.0
     panels = 0
+    converged = True
     for m, w in zip(mu, wts):
         inner = quad_photon(tau * (1.0 - v0 * m), spec)
         total += w * 0.75 * (1.0 - m * m) * inner.value
         err += w * 0.75 * (1.0 - m * m) * inner.error
         panels += inner.panels
-    return QuadResult(value=total, error=abs(err), panels=panels)
+        converged = converged and inner.converged
+    return QuadResult(value=total, error=abs(err), panels=panels, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +352,6 @@ def run_all(params: ModelParams, t_grid_seconds, spec: QuadratureSpec = DEFAULT_
     report per quantity. Per-quantity failures are collected, never raised."""
     taus = params.tau(np.asarray(t_grid_seconds, dtype=float)).tolist()
     theta = params.theta
-    scale = decoherence.coupling_scale(params.alpha)
     p_bar = params.p0_mag if params.p0_mag > 0.0 else params.delta_p
     reports: list[OracleReport] = []
 
@@ -409,9 +360,13 @@ def run_all(params: ModelParams, t_grid_seconds, spec: QuadratureSpec = DEFAULT_
         for tau in grid:
             try:
                 res = quad_fn(tau)
-                rows.append(OracleReport.compare(
+                row = OracleReport.compare(
                     quantity, closed_fn(tau), res.value, tol, res.panels,
-                    detail=detail or f"worst over {len(grid)}-point grid"))
+                    detail=detail or f"worst over {len(grid)}-point grid")
+                if not res.converged:
+                    row.passed = False
+                    row.detail = f"oracle did not converge at tau = {tau:g}; {row.detail}"
+                rows.append(row)
             except (QuadratureError, DomainError) as exc:
                 rows.append(OracleReport(quantity, math.nan, math.nan, math.inf,
                                          math.inf, tol, 0, False, f"error: {exc}"))
@@ -434,16 +389,14 @@ def run_all(params: ModelParams, t_grid_seconds, spec: QuadratureSpec = DEFAULT_
                lambda tau: quad_gamma_th(tau, theta, spec),
                thermal_tolerance(theta, 1e-7), taus,
                detail=f"k_BT << hbar Omega form at theta = {theta:.3g}")
-        gather("gamma_total_spectral",
-               lambda tau: decoherence.log_sqrt_one_plus_sq(tau)
-               + decoherence.log_sinhc(math.pi * tau / theta),
-               lambda tau: quad_gamma_total(tau, theta, spec),
-               thermal_tolerance(theta, ORACLE_CHECKS["gamma_total_spectral"][1]), taus)
-    else:
-        gather("gamma_total_spectral", decoherence.log_sqrt_one_plus_sq,
-               lambda tau: quad_gamma_total(tau, theta, spec),
-               ORACLE_CHECKS["gamma_total_spectral"][1], taus,
-               detail="T = 0: coth = 1 branch")
+    # at T = 0 (theta = inf) the thermal term is log_sinhc(0) = 0, the tolerance
+    # is the base one and the quadrature is the vacuum integral
+    gather("gamma_total_spectral",
+           lambda tau: decoherence.log_sqrt_one_plus_sq(tau)
+           + decoherence.log_sinhc(math.pi * tau / theta),
+           lambda tau: quad_gamma_total(tau, theta, spec),
+           thermal_tolerance(theta, ORACLE_CHECKS["gamma_total_spectral"][1]), taus,
+           detail="" if params.temperature > 0.0 else "T = 0: coth = 1 branch")
 
     # angular + frequency continuum: small v0 keeps the O(v0^2) residual
     # below the declared tolerance
@@ -479,8 +432,6 @@ def fig3_time(params: ModelParams) -> float:
     alpha delta_p^2 the time, or the factors at it, overflow; that is a
     DomainError, never a panel of NaN.
     """
-    from .params import vacuum_decoherence_time
-
     tau_vac, log_tau_vac = vacuum_decoherence_time(params, params.delta_p)
     t = 3.0 * tau_vac
     what = "3 tau_vac overflows"
@@ -498,24 +449,17 @@ def transform_reports(params: ModelParams, spec: QuadratureSpec = DEFAULT_SPEC,
                       n_p: int = 1024) -> list[OracleReport]:
     """Transform-consistency reports at t = 0 and t = 3 tau_vac."""
     packet = GaussianPacket.from_params(params, dims=1)
+    tol = ORACLE_CHECKS["rho_r_transform"][1]
     out = []
     for label, t in (("t=0", 0.0), ("t=3tau_vac", fig3_time(params))):
         factors = DecoherenceFactors.at_time(params, t)
         try:
             res = transform_consistency(packet, factors, n_p=n_p)
+            dev = res["max_deviation_over_peak"]
             out.append(OracleReport(
-                quantity="rho_r_transform", closed_form=0.0,
-                oracle=res["max_deviation_over_peak"],
-                abs_err=res["max_deviation_over_peak"],
-                rel_err=res["max_deviation_over_peak"],
-                tolerance=ORACLE_CHECKS["rho_r_transform"][1],
-                panels=res["n_p"],
-                passed=res["max_deviation_over_peak"] <= ORACLE_CHECKS["rho_r_transform"][1],
-                detail=f"{label}: peak-relative deviation; stability "
-                       f"{res['stability_over_peak']:.2e}",
-            ))
+                "rho_r_transform", 0.0, dev, dev, dev, tol, res["n_p"], dev <= tol,
+                f"{label}: peak-relative deviation; stability {res['stability_over_peak']:.2e}"))
         except GridResolutionError as exc:
             out.append(OracleReport("rho_r_transform", math.nan, math.nan, math.inf,
-                                    math.inf, ORACLE_CHECKS["rho_r_transform"][1],
-                                    n_p, False, f"{label}: {exc}"))
+                                    math.inf, tol, n_p, False, f"{label}: {exc}"))
     return out

@@ -96,10 +96,6 @@ class QuadResult:
         return QuadResult(self.value * -1.0, self.error, self.panels,
                           self.tail_bound, self.converged)
 
-    def shifted(self, constant: float) -> "QuadResult":
-        return QuadResult(self.value + constant, self.error, self.panels,
-                          self.tail_bound, self.converged)
-
 
 def kronrod_panel(f, a: float | np.ndarray, b: float | np.ndarray
                   ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -179,6 +184,28 @@ class TestFigures:
         comments, _, _ = read_csv(out1)
         assert any("temperature_K = 5.0" in c for c in comments[:2])
 
+    @pytest.mark.parametrize("how", ["flag", "file", "neither"])
+    def test_fig1_setting_equal_to_the_default_is_honoured(self, how, tmp_path):
+        # temperature_K = 1.0 is the config default; set explicitly, it must
+        # still beat fig1's standard 300 K
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("temperature_K = 1.0\n")
+        extra = {"flag": ["--temperature-K", "1.0"], "file": ["--config", str(cfg_file)],
+                 "neither": []}[how]
+        out = tmp_path / "fig1.csv"
+        assert run_cli("figure", "fig1", *extra, "--out", str(out)) == 0
+        comments, _, _ = read_csv(out)
+        expected = "temperature_K = 300.0," if how == "neither" else "temperature_K = 1.0,"
+        assert expected in comments[1]
+
+    def test_fig3_alpha_equal_to_the_default_is_honoured(self, tmp_path):
+        # at the default alpha, 3 tau_vac overflows unless delta_p is large
+        out = tmp_path / "fig3.csv"
+        assert run_cli("figure", "fig3", "--alpha", repr(DEFAULTS["alpha"]),
+                       "--delta-p-over-m0c", "1.0", "--out", str(out)) == 0
+        comments, _, _ = read_csv(out)
+        assert f"alpha = {DEFAULTS['alpha']!r}," in comments[1]
+
     def test_plot_script_sidecar(self, tmp_path):
         out = tmp_path / "fig4.csv"
         script = tmp_path / "plot.py"
@@ -304,8 +331,8 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (("scan", "--t-min-s", "1e-20", "--t-max-s", "1e150", "--t-points", "3"),
-         "column delta_r is not finite"),
+        (("scan", "--t-min-s", "1e-20", "--t-max-s", "1e300", "--t-points", "3"),
+         "column t_omega is not finite"),
         (("rho", "--rep", "r", "--t-s", "1e140", "--points", "3"),
          "column q_mc_over_hbar is not finite"),
         (("rho", "--t-s", "1e140", "--points", "3"), "phase of rho"),
@@ -318,6 +345,33 @@ class TestExitCodes:
             assert run_cli(*argv, "--out", str(out)) == cli.EXIT_DOMAIN
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_late_time_widths_are_finite(self, tmp_path):
+        # the drift term of delta_r(t) squared overflows past t ~ 2e135 s at the
+        # defaults; delta_r itself (~3e157 m at 1e150 s) does not
+        out = tmp_path / "scan.csv"
+        assert run_cli("scan", "--t-min-s", "1e-20", "--t-max-s", "1e150", "--t-points", "3",
+                       "--out", str(out)) == 0
+        _, header, rows = read_csv(out)
+        widths = np.array([[float(r[header.index(c)]) for c in ("delta_r", "delta_r_free")]
+                           for r in rows])
+        assert np.all(np.isfinite(widths))
+        assert widths[-1, 0] == pytest.approx(2.9978e157, rel=1e-4)
+
+    @pytest.mark.parametrize("argv", [
+        ("rho", "--rep", "r", "--t-s", "1e140", "--points", "3"),
+        ("scan", "--t-max-s", "1e300"),
+    ])
+    def test_overflow_ends_in_the_domain_error_alone(self, argv):
+        # a fresh interpreter, so numpy's floating-point warnings reach stderr
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-m", "qed_decoherence.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == cli.EXIT_DOMAIN
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("domain error:")
 
     @pytest.mark.parametrize("flag, value", [
         ("--points", "0"), ("--points", "1"), ("--points", "-1"),

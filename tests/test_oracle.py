@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from qed_decoherence import cli
 from qed_decoherence import decoherence as dec
 from qed_decoherence import oracle
 from qed_decoherence.decoherence import DecoherenceFactors
@@ -248,6 +250,21 @@ class TestRunAll:
         assert vac.passed and photon.passed
         assert photon.tolerance == ORACLE_CHECKS["photon_number"][1]
         assert (photon.oracle, photon.panels) == (vac.oracle, vac.panels)
+
+    def test_unconverged_oracle_is_a_failure(self, default_params, monkeypatch, capsys):
+        # every frequency oracle leaves its cycle sums to oscillatory at tau = 1e3
+        real = oracle.oscillatory
+        monkeypatch.setattr(oracle, "oscillatory",
+                            lambda *a, **kw: dataclasses.replace(real(*a, **kw), converged=False))
+        t_grid = [default_params.seconds(tau) for tau in (1.0, 1e3)]
+        reports = {r.quantity: r for r in run_all(default_params, t_grid)}
+        for quantity in ("gamma_vac", "phase_xi", "photon_number", "field_energy", "gamma_th",
+                         "gamma_total_spectral", "photon_continuum"):
+            assert not reports[quantity].passed, quantity
+            assert "did not converge at tau = 1000" in reports[quantity].detail, quantity
+        assert reports["factor2_identity"].passed
+        assert cli.main(["verify"]) == cli.EXIT_VERIFY
+        assert "did not converge" in capsys.readouterr().out
 
     def test_t0_branch(self):
         p0 = make_params(temperature=0.0)

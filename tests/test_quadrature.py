@@ -165,10 +165,6 @@ class TestSmallOmegaSeries:
         ref = 1.368999646908151e-15
         assert small_omega_series("thermal", 1e-10, 0.37, 1e4) == pytest.approx(ref, rel=1e-9)
 
-    def test_field(self):
-        ref = 2.2816649554173355e-20
-        assert small_omega_series("field", 1e-6, 0.37) == pytest.approx(ref, rel=1e-9)
-
     def test_total_is_vac_plus_thermal(self):
         tot = small_omega_series("total", 1e-10, 0.37, 1e4)
         parts = small_omega_series("vac", 1e-10, 0.37) + small_omega_series(
