@@ -186,6 +186,20 @@ def cmd_scan(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _fig3_params(params: ModelParams, user_set: frozenset[str] = frozenset()) -> ModelParams:
+    """The fig3 reference set (alpha = FIG3_ALPHA, a stationary packet with v0
+    auto, delta_p = 0.1) over params, except for the keys in user_set."""
+    overrides = {}
+    if "alpha" not in user_set:
+        overrides["alpha"] = FIG3_ALPHA
+    if "p0_over_m0c" not in user_set:
+        overrides["p0"] = (0.0, 0.0, 0.0)
+        overrides["v0"] = None
+    if "delta_p_over_m0c" not in user_set:
+        overrides["delta_p"] = 0.1
+    return params.with_overrides(**overrides) if overrides else params
+
+
 _FIG_ALPHAS = (1.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
 _FIG_ZETAS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
@@ -213,15 +227,7 @@ def _figure_rows(which: str, params: ModelParams, user_set: frozenset[str]):
         return header, [tau, alpha, np.exp(-(coupling_scale(alpha) * dp2)
                                            * log_sqrt_one_plus_sq(tau))], params
     if which == "fig3":
-        overrides = {}
-        if "alpha" not in user_set:
-            overrides["alpha"] = FIG3_ALPHA
-        if "p0_over_m0c" not in user_set:
-            overrides["p0"] = (0.0, 0.0, 0.0)
-            overrides["v0"] = None
-        if "delta_p_over_m0c" not in user_set:
-            overrides["delta_p"] = 0.1
-        p3 = params.with_overrides(**overrides) if overrides else params
+        p3 = _fig3_params(params, user_set)
         packet = GaussianPacket.from_params(p3, dims=1)
         times = np.array([0.0, oracle.fig3_time(p3)])
         grid = np.linspace(p3.p0[0] - 4.0 * packet.delta_p,
@@ -319,10 +325,8 @@ def verification_reports(params: ModelParams, n_points: int = 25):
     set (the transform grid resolution is tuned to that set; the frequency
     oracles are what track the caller's configuration)."""
     t_grid = params.seconds(np.geomspace(1e-3, 1e6, n_points))
-    fig3_params = cfg.build_params(dict(cfg.DEFAULTS)).with_overrides(
-        alpha=FIG3_ALPHA, p0=(0.0, 0.0, 0.0), delta_p=0.1, v0=None)
     return oracle.run_all(params, t_grid, include_transform=True,
-                          transform_params=fig3_params)
+                          transform_params=_fig3_params(cfg.build_params(dict(cfg.DEFAULTS))))
 
 
 def cmd_verify(config: RunConfig) -> int:

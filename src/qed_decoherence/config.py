@@ -6,6 +6,8 @@ Recognized keys (all overridable by CLI flags of the same names):
     alpha, omega_cut_rad_s, temperature_K, mass0_kg,
     p0_over_m0c, delta_p_over_m0c, v0_over_c
 
+v0_over_c also takes `auto` (use |p0|), as the CSV provenance headers write it.
+
 Defaults: Omega = 1e19 rad/s (hbar Omega is about m_e c^2 / 100 for an
 electron), T = 1 K, delta_p/m0 c = 0.1.
 """
@@ -38,9 +40,9 @@ DEFAULTS: dict[str, float | None] = {
 }
 
 
-def parse_config_file(path: str | Path) -> dict[str, float]:
+def parse_config_file(path: str | Path) -> dict[str, float | None]:
     """Read `key = value` pairs; unknown keys are an error (they are typos)."""
-    values: dict[str, float] = {}
+    values: dict[str, float | None] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -52,6 +54,9 @@ def parse_config_file(path: str | Path) -> dict[str, float]:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key == "v0_over_c" and val.strip() == "auto":
+            values[key] = None
+            continue
         try:
             values[key] = float(val.strip())
         except ValueError as exc:

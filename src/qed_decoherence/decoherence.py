@@ -34,7 +34,7 @@ __all__ = [
     "EARLY", "INTERMEDIATE", "LATE", "DecoherenceFactors", "Regime", "classify_regime",
     "coupling_scale", "gamma_regime_approx", "gamma_th_factor", "gamma_vac_factor",
     "log_sinhc", "log_sqrt_one_plus_sq", "lorentz_weight", "lorentz_weight_slope",
-    "phase_factor", "phi_regime_approx", "spectral_density", "tau_minus_arctan", "xi",
+    "phase_factor", "phi_regime_approx", "spectral_density", "tau_minus_arctan",
 ]
 
 
@@ -160,14 +160,6 @@ def phase_factor(params: ModelParams, t_seconds):
     return interaction - 0.5 * tau / params.epsilon
 
 
-def xi(params: ModelParams, p: float, t_seconds):
-    """Single-momentum phase xi(p, t) = (2a/3pi) p^2 (tau - arctan tau), radians.
-
-    xi(p, t) - xi(p', t) depends only on p^2 - p'^2; p in m0 c.
-    """
-    return coupling_scale(params.alpha) * p * p * tau_minus_arctan(params.tau(t_seconds))
-
-
 def spectral_density(params: ModelParams, omega: float, dp: float) -> float:
     """Ohmic spectral density J(omega) = (2a/3pi) dp^2 omega e^{-omega/Omega}.
 
@@ -205,11 +197,6 @@ class DecoherenceFactors:
             gamma=gv + gt,
             phi=phase_factor(params, t_seconds),
         )
-
-    @classmethod
-    def free(cls) -> "DecoherenceFactors":
-        """The t = 0 bundle (also the alpha = 0, t = 0 case)."""
-        return cls(t=0.0, gamma_vac=0.0, gamma_th=0.0, gamma=0.0, phi=0.0)
 
 
 # ---------------------------------------------------------------------------

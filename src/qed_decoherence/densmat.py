@@ -42,7 +42,7 @@ from .decoherence import DecoherenceFactors
 from .params import DomainError, ModelParams
 
 __all__ = [
-    "MAX_PHASE", "GaussianPacket", "grid_trace", "mean_displacement_vec", "rho_p", "rho_p_initial",
+    "MAX_PHASE", "GaussianPacket", "mean_displacement_vec", "rho_p", "rho_p_initial",
     "rho_p_matrix", "rho_r", "rho_r_initial", "rho_r_matrix", "width_t", "z_factor",
 ]
 
@@ -252,8 +252,3 @@ def rho_r_matrix(q_grid: np.ndarray, packet: GaussianPacket, factors: Decoherenc
                           -2.0 * factors.phi * p0, scale * factors.gamma,
                           -scale * factors.phi,
                           (packet.delta_r**2 + 6.0 * factors.gamma) / wt2 * p0, max_phase)
-
-
-def grid_trace(grid: np.ndarray, matrix: np.ndarray) -> float:
-    """Trapezoid integral of the matrix diagonal over the grid."""
-    return float(np.trapezoid(np.real(np.diagonal(matrix)), np.asarray(grid)))

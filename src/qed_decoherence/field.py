@@ -20,13 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from .decoherence import coupling_scale, log_sqrt_one_plus_sq, lorentz_weight
-from .observables import mass_shift
 from .params import DomainError, ModelParams
 
-__all__ = [
-    "field_energy_bound", "field_mass_shift", "mean_field_energy", "mean_photon_number",
-    "mode_occupation",
-]
+__all__ = ["mean_field_energy", "mean_photon_number", "mode_occupation"]
 
 # t_seconds is a scalar or a 1-D array of times, as in decoherence and observables.
 
@@ -51,11 +47,6 @@ def mean_field_energy(params: ModelParams, p_bar: float, t_seconds):
     e_internal = (4.0 * coupling_scale(params.alpha) * params.epsilon
                   * lorentz_weight(params.tau(t_seconds)) * 0.5 * p_bar * p_bar)
     return params.energy_si(e_internal)
-
-
-def field_mass_shift(params: ModelParams, t_seconds):
-    """delta_F m = -2 delta_m(t), kg: the field-side share of the dressed mass."""
-    return -2.0 * mass_shift(params, t_seconds)
 
 
 def mode_occupation(params: ModelParams, p_bar: float, omega: float, t_seconds,
@@ -84,10 +75,3 @@ def mode_occupation(params: ModelParams, p_bar: float, omega: float, t_seconds,
     # 1 - cos(x) via half-angle, exact zero at recurrences
     one_minus_cos = 2.0 * np.sin(0.5 * x) ** 2
     return geometry * p_bar * p_bar * one_minus_cos / (w**3 * det**2)
-
-
-def field_energy_bound(params: ModelParams, p_bar: float) -> float:
-    """Saturation value of <E_F>: (8 alpha/3 pi)(hbar Omega/m0 c^2)(pbar^2/2 m0), J."""
-    kinetic = params.energy_si(0.5 * p_bar * p_bar)
-    delta_m_saturation = 2.0 * coupling_scale(params.alpha) * params.epsilon
-    return kinetic * 2.0 * delta_m_saturation

@@ -315,7 +315,7 @@ ORACLE_CHECKS = {
     "gamma_vac": ("decoherence.gamma_vac_factor", 1e-8),
     "gamma_th": ("decoherence.gamma_th_factor", 1e-3),
     "gamma_total_spectral": ("decoherence.spectral_density -> Gamma", 1e-6),
-    "phase_xi": ("decoherence.xi / phase_factor interaction part", 1e-8),
+    "phase_xi": ("decoherence.phase_factor interaction part", 1e-8),
     "photon_number": ("field.mean_photon_number", 1e-8),
     "photon_continuum": ("field.mode_occupation continuum sum", 1e-6),
     "field_energy": ("field.mean_field_energy", 1e-8),

@@ -21,7 +21,9 @@ happens once at this boundary.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -36,6 +38,15 @@ class DomainError(ValueError):
 
 class DipoleValidityWarning(UserWarning):
     """Packet width approaches the cutoff wavelength c/Omega."""
+
+
+def _caller_stacklevel() -> int:
+    """warnings stack level, seen from __post_init__, of the first caller past
+    the generated __init__ that is outside this module and dataclasses.replace."""
+    frame, level = sys._getframe(3), 3
+    while frame is not None and frame.f_code.co_filename in (__file__, dataclasses.__file__):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _as_vec3(value) -> tuple[float, float, float]:
@@ -96,7 +107,7 @@ class ModelParams:
                 f"delta_r = {ratio:.3g} c/Omega is inside the warning band (> 0.1 c/Omega); "
                 "dipole-approximation accuracy degrades here",
                 DipoleValidityWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
 
     # -- dimensionless internal parameters ------------------------------------
@@ -144,20 +155,9 @@ class ModelParams:
         """hbar/(m0 c) units -> meters."""
         return length_internal * HBAR / (self.mass0 * SPEED_OF_LIGHT)
 
-    def length_internal(self, length_m: float) -> float:
-        return length_m * self.mass0 * SPEED_OF_LIGHT / HBAR
-
-    def momentum_si(self, p_internal: float) -> float:
-        """m0 c units -> kg m/s."""
-        return p_internal * self.mass0 * SPEED_OF_LIGHT
-
     def energy_si(self, e_internal: float) -> float:
         """m0 c^2 units -> J."""
         return e_internal * self.mass0 * SPEED_OF_LIGHT**2
-
-    def factor_si(self, f_internal: float) -> float:
-        """1/(m0 c)^2 units -> 1/(kg m/s)^2."""
-        return f_internal / (self.mass0 * SPEED_OF_LIGHT) ** 2
 
     def r0_internal(self) -> tuple[float, float, float]:
         """Initial position, c/Omega units -> hbar/(m0 c) units."""
@@ -284,16 +284,19 @@ def thermal_decoherence_time(params: ModelParams, dp: float) -> float:
     return thermal_time(params.temperature) * 1.5 * math.pi / (params.alpha * dp * dp)
 
 
+def _validity_times(params: ModelParams) -> tuple[float, float]:
+    """(tau_0, tau_d), seconds. tau_0 = c / (v0 Omega) bounds the moving-dipole
+    approximation (inf for a stationary packet); tau_d = Omega^-1 m0 c / delta_p
+    bounds the treatment against free spreading."""
+    tau_0 = math.inf if params.v0 == 0.0 else 1.0 / (params.v0 * params.omega_cut)
+    return tau_0, 1.0 / (params.omega_cut * params.delta_p)
+
+
 def validity_window(params: ModelParams) -> Timescales:
     """All characteristic times for this parameter set, in seconds.
-
-    tau_0 = c / (v0 Omega) bounds the moving-dipole approximation (inf for a
-    stationary packet); tau_d = Omega^-1 m0 c / delta_p bounds the treatment
-    against free spreading. Time-series output is flagged beyond
-    min(tau_d, tau_0).
+    Time-series output is flagged beyond min(tau_d, tau_0) (validity_bound).
     """
-    tau_0 = math.inf if params.v0 == 0.0 else 1.0 / (params.v0 * params.omega_cut)
-    tau_d = 1.0 / (params.omega_cut * params.delta_p)
+    tau_0, tau_d = _validity_times(params)
     if params.temperature > 0.0:
         tau_F = thermal_time(params.temperature)
         w = params.omega_cut * tau_F
@@ -326,5 +329,5 @@ def validity_window(params: ModelParams) -> Timescales:
 
 def validity_bound(params: ModelParams) -> float:
     """min(tau_d, tau_0), seconds; samples beyond it are flagged invalid."""
-    ts = validity_window(params)
-    return min(ts.tau_d, ts.tau_0)
+    tau_0, tau_d = _validity_times(params)
+    return min(tau_d, tau_0)

@@ -18,7 +18,6 @@ from qed_decoherence import oracle
 from qed_decoherence.decoherence import DecoherenceFactors
 from qed_decoherence.densmat import (
     GaussianPacket,
-    grid_trace,
     rho_p,
     rho_p_initial,
     rho_p_matrix,
@@ -165,10 +164,10 @@ def test_criterion_08_identity_suite(default_params):
         t = p.seconds(tau)
         f = DecoherenceFactors.at_time(p, t)
         s = obs.linear_entropy(p, t)
-        worst = max(worst, abs(s - (1 - obs.momentum_coherence_length(p, t) / 0.1)))
-        worst = max(worst, abs(
-            s - (1 - obs.spatial_coherence_length(p, t) / obs.spatial_width(p, t))))
-        dr2 = p.length_internal(obs.spatial_width(p, t)) ** 2
+        snap = obs.snapshot(p, t)
+        worst = max(worst, abs(s - (1 - snap.l_p / 0.1)))
+        worst = max(worst, abs(s - (1 - snap.l_r / snap.delta_r_t)))
+        dr2 = (snap.delta_r_t / p.length_si(1.0)) ** 2
         worst = max(worst, abs(dr2 - 3 * pk.d**2 * z_factor(pk, f)) / dr2)
         # diagonal constancy and hermiticity
         worst = max(worst, abs(rho_p(0.21, 0.21, pk, f) - rho_p_initial(0.21, 0.21, pk))
@@ -184,10 +183,9 @@ def test_criterion_08_identity_suite(default_params):
     f0 = DecoherenceFactors.at_time(p0, t)
     worst = max(worst, abs(f0.gamma))
     worst = max(worst, abs(f0.phi + 0.5 * 1e3 / p0.epsilon) / (0.5 * 1e3 / p0.epsilon))
-    worst = max(worst, abs(obs.spatial_width(p0, t) - obs.spatial_width_free(p0, t))
-                / obs.spatial_width_free(p0, t))
-    worst = max(worst, abs(obs.spatial_coherence_length(p0, t) - obs.spatial_width(p0, t))
-                / obs.spatial_width(p0, t))
+    snap = obs.snapshot(p0, t)
+    worst = max(worst, abs(snap.delta_r_t - snap.delta_r_free) / snap.delta_r_free)
+    worst = max(worst, abs(snap.l_r - snap.delta_r_t) / snap.delta_r_t)
     report("criterion 8: identity suite (entropy/coherence, 3 d^2 Z, pointer "
            "basis, hermiticity, free limit)", worst <= 1e-12, f"worst {worst:.2e}")
 
@@ -244,19 +242,19 @@ def test_criterion_10_derivatives_and_scaling(default_params):
     worst_v = 0.0
     for tau in np.geomspace(1e-3, 1e6, 10):
         t = p.seconds(tau)
-        fd = central_derivative(lambda s: obs.mean_displacement(p, s)[0], t)
-        worst_v = max(worst_v, abs(fd - obs.mean_velocity(p, t)[0])
-                      / abs(obs.mean_velocity(p, t)[0]))
+        fd = central_derivative(lambda s: obs.snapshot(p, s).mean_q[0], t)
+        v = obs.snapshot(p, t).mean_v[0]
+        worst_v = max(worst_v, abs(fd - v) / abs(v))
     worst_a = 0.0
     for tau in np.geomspace(1e-2, 30.0, 9):
         t = p.seconds(tau)
-        fd = central_derivative(lambda s: obs.mean_velocity(p, s)[0], t)
-        worst_a = max(worst_a, abs(fd - obs.mean_acceleration(p, t)[0])
-                      / abs(obs.mean_acceleration(p, t)[0]))
+        fd = central_derivative(lambda s: obs.snapshot(p, s).mean_v[0], t)
+        a = obs.snapshot(p, t).accel[0]
+        worst_a = max(worst_a, abs(fd - a) / abs(a))
     p1 = make_params(alpha=0.02)
     p2 = make_params(alpha=0.06)
     t = p1.seconds(2.0)
-    ratio = obs.brems_power_estimate(p2, t) / obs.brems_power_estimate(p1, t)
+    ratio = obs.snapshot(p2, t).brems_power / obs.snapshot(p1, t).brems_power
     scaling = abs(ratio - 3.0**3) / 27.0
     report("criterion 10: finite-difference derivative consistency and alpha^3 "
            "radiated-power scaling",
@@ -272,10 +270,12 @@ def test_criterion_11_trace_normalization(fig3_params):
     for t in times:
         f = DecoherenceFactors.at_time(p, t)
         p_grid = np.linspace(-8 * pk.delta_p, 8 * pk.delta_p, 4001)
-        worst = max(worst, abs(grid_trace(p_grid, rho_p_matrix(p_grid, pk, f)) - 1.0))
+        diag = np.real(np.diagonal(rho_p_matrix(p_grid, pk, f)))
+        worst = max(worst, abs(np.trapezoid(diag, p_grid) - 1.0))
         w = width_t(pk, f) / math.sqrt(3.0)
         q_grid = np.linspace(-8 * w, 8 * w, 4001)
-        worst = max(worst, abs(grid_trace(q_grid, rho_r_matrix(q_grid, pk, f)) - 1.0))
+        diag = np.real(np.diagonal(rho_r_matrix(q_grid, pk, f)))
+        worst = max(worst, abs(np.trapezoid(diag, q_grid) - 1.0))
     report("criterion 11: unit traces in both representations at "
            "t in {0, 3 tau_vac, 10 tau_F}", worst <= 1e-8, f"worst {worst:.2e}")
 

@@ -8,6 +8,7 @@ import pytest
 
 from qed_decoherence import cli
 from qed_decoherence.config import (
+    CONFIG_KEYS,
     DEFAULTS,
     build_params,
     parse_config_file,
@@ -43,6 +44,25 @@ class TestConfig:
         f.write_text("# a comment\nalpha = 0.5\ntemperature_K = 300  # kelvin\n")
         vals = parse_config_file(f)
         assert vals == {"alpha": 0.5, "temperature_K": 300.0}
+
+    def test_v0_auto(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("v0_over_c = auto\n")
+        assert parse_config_file(f) == {"v0_over_c": None}
+        f.write_text("alpha = auto\n")
+        with pytest.raises(DomainError, match="bad number 'auto'"):
+            parse_config_file(f)
+
+    @pytest.mark.parametrize("v0", [[], ["--v0-over-c", "0.05"]], ids=["auto", "set"])
+    def test_provenance_header_is_a_config_file(self, v0, tmp_path):
+        first, again, f = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "run.cfg"
+        assert run_cli("scan", "--out", str(first), "--t-points", "3", "--alpha", "0.01",
+                       "--temperature-K", "300", *v0) == 0
+        provenance = [c[2:] for c in read_csv(first)[0] if c[2:].split(" = ")[0] in CONFIG_KEYS]
+        assert len(provenance) == len(CONFIG_KEYS)
+        f.write_text("\n".join(provenance) + "\n")
+        assert run_cli("scan", "--config", str(f), "--out", str(again), "--t-points", "3") == 0
+        assert again.read_text() == first.read_text()
 
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "run.cfg"

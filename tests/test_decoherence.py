@@ -17,11 +17,16 @@ from qed_decoherence.decoherence import (
     phase_factor,
     phi_regime_approx,
     spectral_density,
-    xi,
 )
 from qed_decoherence.params import DomainError, thermal_time, vacuum_thermal_crossover
 
 from conftest import make_params
+
+
+def phase_of(params, p, t_seconds):
+    """Single-momentum phase (2a/3pi) p^2 (tau - arctan tau): p^2 times the
+    interaction part of Phi, in radians."""
+    return dec.coupling_scale(params.alpha) * p * p * dec.tau_minus_arctan(params.tau(t_seconds))
 
 
 class TestGammaVac:
@@ -152,30 +157,30 @@ class TestPhase:
 
     def test_xi_zero_momentum(self, default_params):
         for tau in (0.1, 10.0, 1e4):
-            assert xi(default_params, 0.0, default_params.seconds(tau)) == 0.0
+            assert phase_of(default_params, 0.0, default_params.seconds(tau)) == 0.0
 
     @given(st.floats(min_value=-0.8, max_value=0.8),
            st.floats(min_value=-0.8, max_value=0.8),
            st.floats(min_value=1e-3, max_value=1e5))
     @settings(max_examples=60, deadline=None)
     def test_xi_difference_depends_only_on_energy_difference(self, pa, pb, tau):
-        # xi(p) - xi(p') must be a function of p^2 - p'^2 alone; keep the
+        # phase_of(p) - phase_of(p') must be a function of p^2 - p'^2 alone; keep the
         # energy difference large enough that the shifted pair represents it
         assume(abs(pa * pa - pb * pb) > 1e-4)
         p = make_params()
         t = p.seconds(tau)
-        d1 = xi(p, pa, t) - xi(p, pb, t)
+        d1 = phase_of(p, pa, t) - phase_of(p, pb, t)
         shift = 0.3
         pa2 = math.sqrt(pa * pa + shift)
         pb2 = math.sqrt(pb * pb + shift)
-        d2 = xi(p, pa2, t) - xi(p, pb2, t)
+        d2 = phase_of(p, pa2, t) - phase_of(p, pb2, t)
         assert d1 == pytest.approx(d2, rel=1e-9)
 
     def test_xi_consistent_with_phase_interaction_part(self, default_params):
         p = default_params
         t = p.seconds(42.0)
         pa, pb = 0.4, 0.15
-        lhs = xi(p, pa, t) - xi(p, pb, t)
+        lhs = phase_of(p, pa, t) - phase_of(p, pb, t)
         rhs = (phase_factor(p, t) + 0.5 * p.tau(t) / p.epsilon) * (pa**2 - pb**2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -270,8 +275,8 @@ class TestFactorBundle:
         assert f.t == pytest.approx(55.0, rel=1e-14)
         assert f.gamma_vac >= 0.0 and f.gamma_th >= 0.0
 
-    def test_free_bundle(self):
-        f = DecoherenceFactors.free()
+    def test_free_bundle(self, default_params):
+        f = DecoherenceFactors.at_time(default_params, 0.0)
         assert f.gamma == 0.0 and f.phi == 0.0
 
     def test_smooth_and_finite_over_wide_scan(self, default_params):

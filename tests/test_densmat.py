@@ -10,7 +10,6 @@ from qed_decoherence.decoherence import DecoherenceFactors
 from qed_decoherence.densmat import (
     MAX_PHASE,
     GaussianPacket,
-    grid_trace,
     mean_displacement_vec,
     rho_p,
     rho_p_initial,
@@ -146,14 +145,15 @@ class TestRhoP:
 class TestRhoR:
     def test_reduces_to_initial_at_t0(self):
         pk = packet_1d(p0=0.2)
-        f0 = DecoherenceFactors.free()
+        f0 = DecoherenceFactors.at_time(make_params(), 0.0)
         for a, b in [(0.0, 0.0), (5.0, -3.0), (1.0, 1.0)]:
             assert rho_r(a, b, pk, f0) == pytest.approx(rho_r_initial(a, b, pk), rel=1e-13)
 
     def test_z_factor_at_t0_is_one(self):
         pk = packet_1d()
-        assert z_factor(pk, DecoherenceFactors.free()) == 1.0
-        assert width_t(pk, DecoherenceFactors.free()) == pytest.approx(pk.delta_r)
+        f0 = DecoherenceFactors.at_time(make_params(), 0.0)
+        assert z_factor(pk, f0) == 1.0
+        assert width_t(pk, f0) == pytest.approx(pk.delta_r)
 
     def test_free_evolution_gaussian_center_and_width(self):
         # alpha = 0: packet drifts at p0/m0 and spreads like the free solution
@@ -184,7 +184,7 @@ class TestRhoR:
         w = width_t(pk, f)
         grid = np.linspace(-8 * w / math.sqrt(3), 8 * w / math.sqrt(3), 4001)
         m = rho_r_matrix(grid, pk, f)
-        assert grid_trace(grid, m) == pytest.approx(1.0, abs=1e-8)
+        assert np.trapezoid(np.real(np.diagonal(m)), grid) == pytest.approx(1.0, abs=1e-8)
 
     def test_matrix_matches_scalar_elements(self, fig3_params):
         pk = GaussianPacket.from_params(fig3_params, dims=1)
@@ -258,7 +258,7 @@ class TestFactoredGrids:
         gamma = 1e5 / pk.delta_p**2
         f = DecoherenceFactors(t=1e6, gamma_vac=gamma, gamma_th=0.0, gamma=gamma, phi=-3e4)
         assert gamma * (12 * pk.delta_p) ** 2 > 1e4 * 709
-        f0 = DecoherenceFactors.free()
+        f0 = DecoherenceFactors.at_time(make_params(), 0.0)
         p_grid = np.linspace(0.1 - 6 * pk.delta_p, 0.1 + 6 * pk.delta_p, 101)
         q_grid = np.linspace(-6.0, 6.0, 101) * width_t(pk, f)
         for m in (rho_p_matrix(p_grid, pk, f), rho_r_matrix(q_grid, pk, f)):
@@ -303,7 +303,7 @@ class TestFigureThreeProperty:
         assert r1 / r0 == pytest.approx(math.exp(-f1.gamma * (2 * dp) ** 2), rel=1e-12)
 
     def test_anti_diagonal_width_below_diagonal_width(self, fig3_params):
-        from qed_decoherence.observables import momentum_coherence_length, momentum_width
+        from qed_decoherence.observables import snapshot
 
-        t = fig3_time(fig3_params)
-        assert momentum_coherence_length(fig3_params, t) < momentum_width(fig3_params, t)
+        s = snapshot(fig3_params, fig3_time(fig3_params))
+        assert s.l_p < s.delta_p_t

@@ -94,21 +94,21 @@ class TestMeanFieldEnergy:
             t = p.seconds(tau)
             ef = fld.mean_field_energy(p, 0.4, t)
             kin = p.energy_si(0.5 * 0.4**2)
-            dfm = fld.field_mass_shift(p, t)
-            assert dfm == -2.0 * obs.mass_shift(p, t)
+            dfm = -2.0 * obs.mass_shift(p, t)
             assert ef == pytest.approx(-kin * dfm / p.mass0, rel=1e-12)
 
     def test_bounded_by_saturation(self, default_params):
+        # (8 alpha/3 pi)(hbar Omega/m0 c^2)(pbar^2/2 m0)
         p = default_params
-        bound = fld.field_energy_bound(p, 0.4)
+        bound = p.energy_si(0.5 * 0.4**2) * 2.0 * (4 * p.alpha * p.epsilon / (3 * math.pi))
         for tau in (1e-2, 1.0, 1e2, 1e6):
             assert fld.mean_field_energy(p, 0.4, p.seconds(tau)) <= bound * (1 + 1e-14)
 
     def test_same_time_shape_as_mass_shift(self, default_params):
         # E_F(t)/E_F(inf) = delta_m(t)/delta_m(inf) exactly
         p = default_params
-        bound = fld.field_energy_bound(p, 0.4)
         sat = 4 * p.alpha * p.epsilon / (3 * math.pi) * p.mass0
+        bound = p.energy_si(0.5 * 0.4**2) * 2.0 * sat / p.mass0
         for tau in (1e-2, 1.0, 37.0):
             t = p.seconds(tau)
             lhs = fld.mean_field_energy(p, 0.4, t) / bound

@@ -38,7 +38,7 @@ def central_derivative(fn, t):
 class TestMomentumWidth:
     def test_constant_in_time(self, default_params):
         for tau in (0.0, 1.0, 1e4):
-            assert obs.momentum_width(default_params, default_params.seconds(tau)) == 0.1
+            assert obs.snapshot(default_params, default_params.seconds(tau)).delta_p_t == 0.1
 
     def test_grid_second_moment(self, default_params):
         # 1-D slice: diagonal variance is delta_p^2/3
@@ -54,7 +54,7 @@ class TestMomentumWidth:
 
 class TestCoherenceLengths:
     def test_lp_starts_at_delta_p(self, default_params):
-        assert obs.momentum_coherence_length(default_params, 0.0) == 0.1
+        assert obs.snapshot(default_params, 0.0).l_p == 0.1
 
     def test_lp_late_time_asymptote(self):
         # l_p/delta_p ~ (3/(4 dp)) sqrt(pi tau_F/(alpha t)) for t >> t*
@@ -62,7 +62,7 @@ class TestCoherenceLengths:
         tau_F = thermal_time(1.0)
         t_star = (3.0 / (4.0 * p.delta_p)) ** 2 * math.pi * tau_F / p.alpha
         t = 300.0 * t_star
-        ratio = obs.momentum_coherence_length(p, t) / p.delta_p
+        ratio = obs.snapshot(p, t).l_p / p.delta_p
         asym = (3.0 / (4.0 * p.delta_p)) * math.sqrt(math.pi * tau_F / (p.alpha * t))
         assert ratio == pytest.approx(asym, rel=2e-2)
 
@@ -83,20 +83,19 @@ class TestCoherenceLengths:
         vals = np.array([abs(rho_p(ui / 2, -ui / 2, pk, f)) for ui in u]) / pk.norm
         c = -np.polyfit(u**2, np.log(vals), 1)[0]
         assert math.sqrt(3.0 / (8.0 * c)) == pytest.approx(
-            obs.momentum_coherence_length(p, t), rel=1e-2)
+            obs.snapshot(p, t).l_p, rel=1e-2)
 
     def test_lr_starts_at_delta_r(self, default_params):
         p = default_params
         dr = p.length_si(p.delta_r_internal)
-        assert obs.spatial_coherence_length(p, 0.0) == pytest.approx(dr, rel=1e-14)
+        assert obs.snapshot(p, 0.0).l_r == pytest.approx(dr, rel=1e-14)
 
     def test_lr_identity_with_lp(self, default_params):
         for tau in (1e-2, 1.0, 1e3, 1e6):
             t = default_params.seconds(tau)
-            lhs = obs.spatial_coherence_length(default_params, t) / obs.spatial_width(
-                default_params, t)
-            rhs = obs.momentum_coherence_length(default_params, t) / obs.momentum_width(
-                default_params, t)
+            s = obs.snapshot(default_params, t)
+            lhs = s.l_r / s.delta_r_t
+            rhs = s.l_p / s.delta_p_t
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @given(st.floats(min_value=1e-2, max_value=1e6))
@@ -104,34 +103,33 @@ class TestCoherenceLengths:
     def test_dressed_coherence_length_below_free(self, tau):
         # interaction always loses space coherence relative to free evolution
         p = make_params(alpha=10.0)
-        t = p.seconds(tau)
-        assert obs.spatial_coherence_length(p, t) < obs.spatial_width_free(p, t)
+        s = obs.snapshot(p, p.seconds(tau))
+        assert s.l_r < s.delta_r_free
 
     @given(st.floats(min_value=1e-3, max_value=1e5))
     @settings(max_examples=60, deadline=None)
     def test_lp_nonincreasing(self, tau):
         p = make_params()
         t = p.seconds(tau)
-        assert obs.momentum_coherence_length(p, 1.05 * t) <= (
-            obs.momentum_coherence_length(p, t) + 1e-18)
+        assert obs.snapshot(p, 1.05 * t).l_p <= obs.snapshot(p, t).l_p + 1e-18
 
 
 class TestMeanMotion:
     def test_initial_values(self, default_params):
-        assert np.allclose(obs.mean_displacement(default_params, 0.0), 0.0)
-        v0 = obs.mean_velocity(default_params, 0.0)
-        assert v0[0] == pytest.approx(0.1 * 299792458.0, rel=1e-12)
-        assert np.allclose(obs.mean_acceleration(default_params, 0.0), 0.0)
+        s = obs.snapshot(default_params, 0.0)
+        assert np.allclose(s.mean_q, 0.0)
+        assert s.mean_v[0] == pytest.approx(0.1 * 299792458.0, rel=1e-12)
+        assert np.allclose(s.accel, 0.0)
 
     def test_free_evolution_displacement(self):
         p = make_params(alpha=0.0, p0=(0.2, 0.0, 0.0))
         t = p.seconds(1e4)
-        q = obs.mean_displacement(p, t)[0]
+        q = obs.snapshot(p, t).mean_q[0]
         assert q == pytest.approx(0.2 * 299792458.0 * t, rel=1e-12)
 
     def test_velocity_slows_by_mass_dressing(self, default_params):
         p = default_params
-        v_late = obs.mean_velocity(p, p.seconds(1e4))[0]
+        v_late = obs.snapshot(p, p.seconds(1e4)).mean_v[0]
         drop = 1.0 - v_late / (0.1 * 299792458.0)
         assert drop == pytest.approx(obs.mass_shift(p, p.seconds(1e4)) / p.mass0, rel=1e-10)
 
@@ -139,8 +137,8 @@ class TestMeanMotion:
         p = default_params
         for tau in np.geomspace(1e-3, 1e6, 10):
             t = p.seconds(tau)
-            fd = central_derivative(lambda s: obs.mean_displacement(p, s)[0], t)
-            assert fd == pytest.approx(obs.mean_velocity(p, t)[0], rel=1e-6)
+            fd = central_derivative(lambda s: obs.snapshot(p, s).mean_q[0], t)
+            assert fd == pytest.approx(obs.snapshot(p, t).mean_v[0], rel=1e-6)
 
     def test_velocity_derivative_is_acceleration(self, default_params):
         # grid bounded at tau ~ 30: beyond that the derivative is so far below
@@ -148,8 +146,8 @@ class TestMeanMotion:
         p = default_params
         for tau in np.geomspace(1e-2, 30.0, 9):
             t = p.seconds(tau)
-            fd = central_derivative(lambda s: obs.mean_velocity(p, s)[0], t)
-            assert fd == pytest.approx(obs.mean_acceleration(p, t)[0], rel=1e-6)
+            fd = central_derivative(lambda s: obs.snapshot(p, s).mean_v[0], t)
+            assert fd == pytest.approx(obs.snapshot(p, t).accel[0], rel=1e-6)
 
     @pytest.mark.parametrize("tau", [1e6, 1e80, 1e160])
     def test_late_acceleration_finite(self, default_params, tau):
@@ -159,7 +157,7 @@ class TestMeanMotion:
             shape = float(2 * mp.mpf(tau) / (1 + mp.mpf(tau) ** 2) ** 2)
         want = -2.0 * 2.0 * p.alpha / (3.0 * math.pi) * p.epsilon * shape * 0.1 \
             * p.omega_cut * 299792458.0
-        assert obs.mean_acceleration(p, p.seconds(tau))[0] == pytest.approx(
+        assert obs.snapshot(p, p.seconds(tau)).accel[0] == pytest.approx(
             want, rel=1e-14, abs=1e-300)
 
 
@@ -181,12 +179,12 @@ class TestMass:
     @settings(max_examples=60, deadline=None)
     def test_mass_bound(self, tau):
         p = make_params()
-        m = obs.dressed_mass(p, p.seconds(tau))
+        m = obs.snapshot(p, p.seconds(tau)).mass_t
         sat = 4 * p.alpha * p.epsilon / (3 * math.pi) * p.mass0
         assert p.mass0 <= m <= p.mass0 + sat
 
     def test_inv_mass_continuity_at_zero(self, default_params):
-        assert obs.inv_mass_time_average(default_params, 0.0) == pytest.approx(
+        assert obs.snapshot(default_params, 0.0).inv_mass_avg == pytest.approx(
             1.0 / default_params.mass0, rel=1e-14)
 
     def test_inv_mass_average_vs_quadrature(self, default_params):
@@ -199,9 +197,9 @@ class TestMass:
         for tau in (1e-2, 1.0, 1e2, 1e4):
             t = p.seconds(tau)
             quad = adaptive(
-                lambda s: 1.0 / np.array([obs.dressed_mass(p, x) for x in np.atleast_1d(s)]),
+                lambda s: 1.0 / obs.snapshot(p, s).mass_t,
                 0.0, t, spec).value / t
-            closed = obs.inv_mass_time_average(p, t)
+            closed = obs.snapshot(p, t).inv_mass_avg
             assert closed == pytest.approx(quad, rel=tol)
 
     def test_inv_mass_first_order_mismatch_scales(self):
@@ -210,9 +208,9 @@ class TestMass:
         t = p.seconds(1e3)
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30)
         quad = adaptive(
-            lambda s: 1.0 / np.array([obs.dressed_mass(p, x) for x in np.atleast_1d(s)]),
+            lambda s: 1.0 / obs.snapshot(p, s).mass_t,
             0.0, t, spec).value / t
-        closed = obs.inv_mass_time_average(p, t)
+        closed = obs.snapshot(p, t).inv_mass_avg
         dm_rel = 4 * p.alpha * p.epsilon / (3 * math.pi)
         mismatch = abs(closed - quad) / quad
         assert mismatch < 3.0 * dm_rel**2
@@ -223,16 +221,15 @@ class TestSpatialWidth:
     def test_free_case_matches_exactly_at_alpha0(self):
         p = make_params(alpha=0.0)
         for tau in (1e-2, 1.0, 1e4):
-            t = p.seconds(tau)
-            assert obs.spatial_width(p, t) == pytest.approx(
-                obs.spatial_width_free(p, t), rel=1e-14)
+            s = obs.snapshot(p, p.seconds(tau))
+            assert s.delta_r_t == pytest.approx(s.delta_r_free, rel=1e-14)
 
     def test_width_equals_3d2Z(self, default_params):
         p = default_params
         pk = GaussianPacket.from_params(p, dims=1)
         for tau in (1e-2, 1.0, 1e3, 1e6):
             f = DecoherenceFactors.at_time(p, p.seconds(tau))
-            direct = obs.spatial_width(p, p.seconds(tau))
+            direct = obs.snapshot(p, p.seconds(tau)).delta_r_t
             viaz = p.length_si(math.sqrt(3.0 * pk.d**2 * z_factor(pk, f)))
             assert direct == pytest.approx(viaz, rel=1e-12)
 
@@ -256,10 +253,10 @@ class TestSpatialWidth:
         # small times: the decoherence term wins (O(tau^2) vs O(tau^4) mass
         # drag); large times: the dressed mass slows the spread below free
         p = make_params(alpha=50.0)
-        t_early = p.seconds(0.3)
-        assert obs.spatial_width(p, t_early) > obs.spatial_width_free(p, t_early)
-        t_late = p.seconds(2e5)
-        assert obs.spatial_width(p, t_late) < obs.spatial_width_free(p, t_late)
+        early = obs.snapshot(p, p.seconds(0.3))
+        assert early.delta_r_t > early.delta_r_free
+        late = obs.snapshot(p, p.seconds(2e5))
+        assert late.delta_r_t < late.delta_r_free
 
 
 class TestLinearEntropy:
@@ -271,12 +268,9 @@ class TestLinearEntropy:
         for tau in (1e-2, 1.0, 1e3, 1e6):
             t = p.seconds(tau)
             s = obs.linear_entropy(p, t)
-            assert s == pytest.approx(
-                1.0 - obs.momentum_coherence_length(p, t) / obs.momentum_width(p, t),
-                abs=1e-12)
-            assert s == pytest.approx(
-                1.0 - obs.spatial_coherence_length(p, t) / obs.spatial_width(p, t),
-                abs=1e-12)
+            snap = obs.snapshot(p, t)
+            assert s == pytest.approx(1.0 - snap.l_p / snap.delta_p_t, abs=1e-12)
+            assert s == pytest.approx(1.0 - snap.l_r / snap.delta_r_t, abs=1e-12)
 
     def test_quadratic_small_t(self, default_params):
         p = default_params
@@ -301,14 +295,14 @@ class TestLinearEntropy:
 
 class TestRadiation:
     def test_acceleration_zero_at_t0(self, default_params):
-        assert np.allclose(obs.mean_acceleration(default_params, 0.0), 0.0)
+        assert np.allclose(obs.snapshot(default_params, 0.0).accel, 0.0)
 
     def test_brems_alpha_cubed_scaling(self, default_params):
         tau = 3.0
         p1 = make_params(alpha=0.01)
         p2 = make_params(alpha=0.04)
         t1 = p1.seconds(tau)
-        r = obs.brems_power_estimate(p2, t1) / obs.brems_power_estimate(p1, t1)
+        r = obs.snapshot(p2, t1).brems_power / obs.snapshot(p1, t1).brems_power
         assert r == pytest.approx(4.0**3, rel=1e-12)
 
     def test_snapshot_consistency(self, default_params):

@@ -171,6 +171,13 @@ class TestValidityWindow:
         ts = validity_window(p)
         assert validity_bound(p) == min(ts.tau_d, ts.tau_0)
 
+    @pytest.mark.parametrize("kw", [{}, {"temperature": 0.0}, {"p0": (0.0, 0.0, 0.0)}],
+                             ids=["defaults", "T0", "v0_zero"])
+    def test_bound_is_min_of_window(self, kw):
+        p = make_params(**kw)
+        ts = validity_window(p)
+        assert validity_bound(p) == min(ts.tau_d, ts.tau_0)
+
     def test_t0_branch(self):
         ts = validity_window(make_params(temperature=0.0))
         assert math.isinf(ts.tau_F) and math.isinf(ts.tau_th)
@@ -205,6 +212,14 @@ class TestModelParams:
         with pytest.warns(DipoleValidityWarning):
             ModelParams(delta_p=0.1)  # 0.19 c/Omega at the defaults
 
+    def test_dipole_warning_names_the_caller(self):
+        # not the generated __init__ (<string>), nor dataclasses.replace
+        with pytest.warns(DipoleValidityWarning) as record:
+            p = ModelParams(delta_p=0.1)
+        with pytest.warns(DipoleValidityWarning) as replaced:
+            p.with_overrides(alpha=0.01)
+        assert [r.filename for r in (*record, *replaced)] == [__file__, __file__]
+
     def test_v0_defaults_to_p0_magnitude(self):
         p = make_params(p0=(0.3, 0.4, 0.0))
         assert p.v0 == pytest.approx(0.5, rel=1e-12)
@@ -223,9 +238,8 @@ class TestModelParams:
     @settings(max_examples=50, deadline=None)
     def test_length_momentum_energy_round_trips(self, x):
         p = make_params()
-        assert p.length_internal(p.length_si(x)) == pytest.approx(x, rel=1e-12)
-        assert p.momentum_si(x) / p.momentum_si(1.0) == pytest.approx(x, rel=1e-12)
-        assert p.factor_si(x) * (p.mass0 * 299792458.0) ** 2 == pytest.approx(x, rel=1e-12)
+        assert p.length_si(x) / p.length_si(1.0) == pytest.approx(x, rel=1e-12)
+        assert p.energy_si(x) / (p.mass0 * 299792458.0**2) == pytest.approx(x, rel=1e-12)
 
     def test_r0_internal_conversion(self):
         p = make_params(r0=(1.0, 0.0, 0.0))
