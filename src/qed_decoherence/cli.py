@@ -20,7 +20,8 @@ import contextlib
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,11 @@ from . import config as cfg
 from . import densmat, field, observables, oracle
 from .decoherence import DecoherenceFactors, coupling_scale, log_sinhc, log_sqrt_one_plus_sq
 from .densmat import GaussianPacket
-from .params import DomainError, ModelParams, validity_bound, validity_window
+from .params import (DipoleValidityWarning, DomainError, ModelParams, validity_bound,
+                     validity_window)
+
+__all__ = ["EXIT_DOMAIN", "EXIT_IO", "EXIT_OK", "EXIT_USAGE", "EXIT_VERIFY", "RHO_MAX_POINTS",
+           "SCAN_COLUMNS", "build_parser", "main", "write_csv"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,50 +55,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation: physical parameters, command, time grid,
-    output destination, and CSV precision. user_set names the config keys that
-    the config file or a CLI flag set."""
-
-    params: ModelParams
-    command: str
-    resolved: dict
-    user_set: frozenset[str]
-    out: str | None = None
-    sigfigs: int = 12
-    t_min_s: float | None = None
-    t_max_s: float | None = None
-    t_points: int = 61
-    t_scale: str = "log"
-    # per-command extras
-    which: str | None = None
-    plot_script: str | None = None
-    rep: str = "p"
-    t_s: float | None = None
-    points: int = 41
-    span: float = 4.0
-
-    def __post_init__(self):
-        if self.sigfigs < 2:
-            raise DomainError("sigfigs must be >= 2")
-        if self.t_points < 2:
+def _check_args(args) -> None:
+    """Range checks of the numeric options, each where its command has it."""
+    if args.sigfigs < 2:
+        raise DomainError("sigfigs must be >= 2")
+    if "t_points" in args:   # scan
+        if args.t_points < 2:
             raise DomainError("t-points must be >= 2")
-        for bound in (self.t_min_s, self.t_max_s):
+        for bound in (args.t_min_s, args.t_max_s):
             if bound is not None and bound <= 0.0:
                 raise DomainError("t-grid bounds must be positive")
-        if not 2 <= self.points <= RHO_MAX_POINTS:
-            raise DomainError(f"points = {self.points} outside [2, {RHO_MAX_POINTS}]")
-        if not 0.0 < self.span < math.inf:
-            raise DomainError(f"span = {self.span} must be positive and finite")
-
-    @classmethod
-    def from_args(cls, params: ModelParams, resolved: dict, user_set: frozenset[str],
-                  args) -> "RunConfig":
-        fields = ("out", "sigfigs", "t_min_s", "t_max_s", "t_points", "t_scale",
-                  "which", "plot_script", "rep", "t_s", "points", "span")
-        kw = {f: getattr(args, f) for f in fields if getattr(args, f, None) is not None}
-        return cls(params, args.command, resolved, user_set, **kw)
+    if "points" in args:   # rho
+        if not 2 <= args.points <= RHO_MAX_POINTS:
+            raise DomainError(f"points = {args.points} outside [2, {RHO_MAX_POINTS}]")
+        if not 0.0 < args.span < math.inf:
+            raise DomainError(f"span = {args.span} must be positive and finite")
 
 
 def _fmt(value: float, sigfigs: int) -> str:
@@ -137,19 +113,19 @@ def _table(header: list[str], columns) -> np.ndarray:
     return np.rec.fromarrays(cols, names=header)
 
 
-def _time_grid(config: RunConfig) -> np.ndarray:
-    params = config.params
-    t_min = config.t_min_s if config.t_min_s is not None else params.seconds(1e-3)
-    t_max = config.t_max_s if config.t_max_s is not None else params.seconds(1e6)
+def _time_grid(args) -> np.ndarray:
+    params = args.params
+    t_min = args.t_min_s if args.t_min_s is not None else params.seconds(1e-3)
+    t_max = args.t_max_s if args.t_max_s is not None else params.seconds(1e6)
     if not t_max > t_min:
         raise DomainError("need 0 < t-min-s < t-max-s")
-    if config.t_scale == "log":
-        return np.geomspace(t_min, t_max, config.t_points)
-    return np.linspace(t_min, t_max, config.t_points)
+    if args.t_scale == "log":
+        return np.geomspace(t_min, t_max, args.t_points)
+    return np.linspace(t_min, t_max, args.t_points)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed arguments, with params, resolved and user_set set by main
 # ---------------------------------------------------------------------------
 
 SCAN_COLUMNS = [
@@ -165,9 +141,9 @@ SCAN_UNITS = (
 )
 
 
-def cmd_scan(config: RunConfig) -> int:
-    params = config.params
-    t = _time_grid(config)
+def cmd_scan(args) -> int:
+    params = args.params
+    t = _time_grid(args)
     s = observables.snapshot(params, t)
     f = s.factors
     p_bar = params.p0_mag
@@ -180,9 +156,8 @@ def cmd_scan(config: RunConfig) -> int:
         (t <= validity_bound(params)).astype(int),
     ]
     comments = ["qed-decoherence scan", SCAN_UNITS,
-                *cfg.provenance_lines(config.resolved)]
-    write_csv(config.out, comments, SCAN_COLUMNS, _table(SCAN_COLUMNS, columns),
-              config.sigfigs)
+                *cfg.provenance_lines(args.resolved)]
+    write_csv(args.out, comments, SCAN_COLUMNS, _table(SCAN_COLUMNS, columns), args.sigfigs)
     return EXIT_OK
 
 
@@ -197,7 +172,7 @@ def _fig3_params(params: ModelParams, user_set: frozenset[str] = frozenset()) ->
         overrides["v0"] = None
     if "delta_p_over_m0c" not in user_set:
         overrides["delta_p"] = 0.1
-    return params.with_overrides(**overrides) if overrides else params
+    return replace(params, **overrides)
 
 
 _FIG_ALPHAS = (1.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
@@ -212,8 +187,7 @@ def _figure_rows(which: str, params: ModelParams, user_set: frozenset[str]):
     taus = np.geomspace(1e-3, 1e6, 181)
     if which == "fig1":
         # vacuum vs thermal decoherence exponents as a function of zeta, T = 300 K
-        p1 = params if "temperature_K" in user_set else params.with_overrides(
-            temperature=300.0)
+        p1 = params if "temperature_K" in user_set else replace(params, temperature=300.0)
         header = ["t_s", "t_omega", "zeta", "gamma_vac_pp", "gamma_th_pp"]
         zeta, tau = (g.ravel() for g in np.meshgrid(_FIG_ZETAS, taus, indexing="ij"))
         t = p1.seconds(tau)
@@ -228,10 +202,10 @@ def _figure_rows(which: str, params: ModelParams, user_set: frozenset[str]):
                                            * log_sqrt_one_plus_sq(tau))], params
     if which == "fig3":
         p3 = _fig3_params(params, user_set)
-        packet = GaussianPacket.from_params(p3, dims=1)
+        packet = GaussianPacket.from_params(p3)
         times = np.array([0.0, oracle.fig3_time(p3)])
-        grid = np.linspace(p3.p0[0] - 4.0 * packet.delta_p,
-                           p3.p0[0] + 4.0 * packet.delta_p, 81)
+        grid = np.linspace(packet.p0 - 4.0 * packet.delta_p,
+                           packet.p0 + 4.0 * packet.delta_p, 81)
         n2 = grid.size ** 2
         header = ["t_label", "t_s", "p_over_m0c", "p_prime_over_m0c", "rho_abs_normalized"]
         panels = [np.abs(densmat.rho_p_matrix(grid, packet, DecoherenceFactors.at_time(p3, t)))
@@ -242,7 +216,7 @@ def _figure_rows(which: str, params: ModelParams, user_set: frozenset[str]):
     if which == "fig4":
         header = ["t_s", "t_omega", "alpha", "s_lin"]
         alpha, tau = (g.ravel() for g in np.meshgrid(_FIG_ALPHAS, taus, indexing="ij"))
-        s_lin = [observables.linear_entropy(params.with_overrides(alpha=a), params.seconds(taus))
+        s_lin = [observables.linear_entropy(replace(params, alpha=a), params.seconds(taus))
                  for a in _FIG_ALPHAS]
         return header, [params.seconds(tau), tau, alpha, np.concatenate(s_lin)], params
     raise DomainError(f"unknown figure id {which!r} (expected fig1|fig2|fig3|fig4)")
@@ -275,22 +249,25 @@ plt.show()
 """
 
 
-def cmd_figure(config: RunConfig) -> int:
-    header, columns, used = _figure_rows(config.which, config.params, config.user_set)
-    comments = [f"qed-decoherence figure {config.which}",
+def cmd_figure(args) -> int:
+    # the figure sets change alpha, T and p0, and delta_p only where the run left it at
+    # its default: their delta_r / (c/Omega) is that of params, which main warned about
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DipoleValidityWarning)
+        header, columns, used = _figure_rows(args.which, args.params, args.user_set)
+    comments = [f"qed-decoherence figure {args.which}",
                 f"alpha = {used.alpha!r}, omega_cut_rad_s = {used.omega_cut!r}, "
                 f"temperature_K = {used.temperature!r}, delta_p_over_m0c = {used.delta_p!r}",
-                *cfg.provenance_lines(config.resolved)]
-    write_csv(config.out, comments, header, _table(header, columns), config.sigfigs)
-    if config.plot_script is not None:
-        csv_name = str(config.out) if config.out else "figure.csv"
-        Path(config.plot_script).write_text(_PLOT_SCRIPT.format(csv=csv_name),
-                                            encoding="utf-8")
+                *cfg.provenance_lines(args.resolved)]
+    write_csv(args.out, comments, header, _table(header, columns), args.sigfigs)
+    if args.plot_script is not None:
+        csv_name = str(args.out) if args.out else "figure.csv"
+        Path(args.plot_script).write_text(_PLOT_SCRIPT.format(csv=csv_name), encoding="utf-8")
     return EXIT_OK
 
 
-def cmd_timescales(config: RunConfig) -> int:
-    params = config.params
+def cmd_timescales(args) -> int:
+    params = args.params
     ts = validity_window(params)
     rows = [
         ("tau_F (thermal time)", ts.tau_F),
@@ -310,12 +287,12 @@ def cmd_timescales(config: RunConfig) -> int:
                      f"{_fmt(ts.tau_vac_log, 8):>16s} {'':>16s}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if config.out:
-        write_csv(config.out,
-                  ["qed-decoherence timescales", *cfg.provenance_lines(config.resolved)],
+    if args.out:
+        write_csv(args.out,
+                  ["qed-decoherence timescales", *cfg.provenance_lines(args.resolved)],
                   ["quantity", "seconds", "t_omega"],
                   [[n, v, v * params.omega_cut if math.isfinite(v) else math.inf]
-                   for n, v in rows], config.sigfigs)
+                   for n, v in rows], args.sigfigs)
     return EXIT_OK
 
 
@@ -325,12 +302,15 @@ def verification_reports(params: ModelParams, n_points: int = 25):
     set (the transform grid resolution is tuned to that set; the frequency
     oracles are what track the caller's configuration)."""
     t_grid = params.seconds(np.geomspace(1e-3, 1e6, n_points))
-    return oracle.run_all(params, t_grid, include_transform=True,
-                          transform_params=_fig3_params(cfg.build_params(dict(cfg.DEFAULTS))))
+    # the fixed set is not the run's packet: its DipoleValidityWarning says nothing of the run
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DipoleValidityWarning)
+        reference = _fig3_params(cfg.build_params(dict(cfg.DEFAULTS)))
+    return oracle.run_all(params, t_grid, include_transform=True, transform_params=reference)
 
 
-def cmd_verify(config: RunConfig) -> int:
-    reports = verification_reports(config.params)
+def cmd_verify(args) -> int:
+    reports = verification_reports(args.params)
     width = max(len(r.quantity) for r in reports)
     sys.stdout.write(f"{'quantity':{width}s}  {'closed':>14s}  {'oracle':>14s}  "
                      f"{'rel_err':>10s}  {'tol':>8s}  result\n")
@@ -342,14 +322,14 @@ def cmd_verify(config: RunConfig) -> int:
             + (f"  [{r.detail}]" if r.detail and not r.passed else "") + "\n"
         )
     failed = [r.quantity for r in reports if not r.passed]
-    if config.out:
-        write_csv(config.out,
-                  ["qed-decoherence verify", *cfg.provenance_lines(config.resolved)],
+    if args.out:
+        write_csv(args.out,
+                  ["qed-decoherence verify", *cfg.provenance_lines(args.resolved)],
                   ["quantity", "closed_form", "oracle", "abs_err", "rel_err",
                    "tolerance", "panels", "passed", "detail"],
                   [[r.quantity, r.closed_form, r.oracle, r.abs_err, r.rel_err,
                     r.tolerance, r.panels, int(r.passed), r.detail] for r in reports],
-                  config.sigfigs)
+                  args.sigfigs)
     if failed:
         sys.stdout.write(f"FAILED: {', '.join(failed)}\n")
         return EXIT_VERIFY
@@ -357,32 +337,29 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_rho(config: RunConfig) -> int:
-    params = config.params
-    if config.t_s is None:
-        raise DomainError("rho requires --t-s")
-    packet = GaussianPacket.from_params(params, dims=1)
-    factors = DecoherenceFactors.at_time(params, config.t_s)
-    n = config.points
-    if config.rep == "p":
-        half = config.span * packet.delta_p
-        grid = np.linspace(packet.p0[0] - half, packet.p0[0] + half, n)
+def cmd_rho(args) -> int:
+    packet = GaussianPacket.from_params(args.params)
+    factors = DecoherenceFactors.at_time(args.params, args.t_s)
+    n = args.points
+    if args.rep == "p":
+        half = args.span * packet.delta_p
+        grid = np.linspace(packet.p0 - half, packet.p0 + half, n)
         matrix = densmat.rho_p_matrix(grid, packet, factors, densmat.MAX_PHASE)
         a_name, b_name = "p_over_m0c", "p_prime_over_m0c"
     else:
         w = densmat.width_t(packet, factors)
-        center = float(densmat.mean_displacement_vec(packet, factors)[0])
-        half = config.span * w / math.sqrt(3.0)
+        center = densmat.mean_displacement(packet, factors)
+        half = args.span * w / math.sqrt(3.0)
         grid = np.linspace(center - half, center + half, n)
         matrix = densmat.rho_r_matrix(grid, packet, factors, densmat.MAX_PHASE)
         a_name, b_name = "q_mc_over_hbar", "q_prime_mc_over_hbar"
     header = ["t_s", a_name, b_name, "re", "im", "abs"]
-    table = _table(header, [config.t_s, np.repeat(grid, n), np.tile(grid, n),
+    table = _table(header, [args.t_s, np.repeat(grid, n), np.tile(grid, n),
                             matrix.real.ravel(), matrix.imag.ravel(), np.abs(matrix).ravel()])
-    comments = [f"qed-decoherence rho --rep {config.rep} --t-s {config.t_s!r}",
+    comments = [f"qed-decoherence rho --rep {args.rep} --t-s {args.t_s!r}",
                 "momentum in m0 c, displacement in hbar/(m0 c)",
-                *cfg.provenance_lines(config.resolved)]
-    write_csv(config.out, comments, header, table, config.sigfigs)
+                *cfg.provenance_lines(args.resolved)]
+    write_csv(args.out, comments, header, table, args.sigfigs)
     return EXIT_OK
 
 
@@ -455,13 +432,14 @@ def main(argv=None) -> int:
                 if getattr(args, key) is not None}
         if args.config is not None:
             user = cfg.parse_config_file(args.config) | user
-        resolved = cfg.resolve(None, user)
-        params = cfg.build_params(resolved)
-        config = RunConfig.from_args(params, resolved, frozenset(user), args)
+        args.resolved = cfg.resolve(None, user)
+        args.params = cfg.build_params(args.resolved)
+        args.user_set = frozenset(user)
+        _check_args(args)
         # _table refuses every non-finite value scan, figure and rho would write, and
         # verify and timescales write nan/inf on purpose: numpy's warnings add nothing
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _COMMANDS[config.command](config)
+            return _COMMANDS[args.command](args)
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN

@@ -19,6 +19,9 @@ from pathlib import Path
 from .constants import ELECTRON_MASS, FINE_STRUCTURE
 from .params import DomainError, ModelParams
 
+__all__ = ["CONFIG_KEYS", "DEFAULTS", "build_params", "parse_config_file", "provenance_lines",
+           "resolve"]
+
 CONFIG_KEYS = (
     "alpha",
     "omega_cut_rad_s",

@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DomainError, ModelParams, thermal_time
+from .params import DomainError, ModelParams
 
 __all__ = [
-    "EARLY", "INTERMEDIATE", "LATE", "DecoherenceFactors", "Regime", "classify_regime",
-    "coupling_scale", "gamma_regime_approx", "gamma_th_factor", "gamma_vac_factor",
+    "DecoherenceFactors", "coupling_scale", "gamma_th_factor", "gamma_vac_factor",
     "log_sinhc", "log_sqrt_one_plus_sq", "lorentz_weight", "lorentz_weight_slope",
-    "phase_factor", "phi_regime_approx", "spectral_density", "tau_minus_arctan",
+    "phase_factor", "spectral_density", "tau_minus_arctan",
 ]
 
 
@@ -197,96 +196,3 @@ class DecoherenceFactors:
             gamma=gv + gt,
             phi=phase_factor(params, t_seconds),
         )
-
-
-# ---------------------------------------------------------------------------
-# regime approximations (reporting/tests only, never primary evaluation)
-# ---------------------------------------------------------------------------
-
-EARLY, INTERMEDIATE, LATE = "early", "intermediate", "late"
-_GUARD = math.sqrt(10.0)   # half-decade guard band around each boundary
-
-
-@dataclass(frozen=True)
-class Regime:
-    """A guard-banded time zone: early t << 1/Omega, intermediate 1/Omega << t << tau_F,
-    late t >> tau_F. Bounds in seconds."""
-
-    label: str
-    t_min: float
-    t_max: float
-
-    def contains(self, t_seconds):
-        return (self.t_min <= t_seconds) & (t_seconds <= self.t_max)
-
-    @classmethod
-    def of(cls, params: ModelParams, label: str) -> "Regime":
-        inv_omega = 1.0 / params.omega_cut
-        tau_F = thermal_time(params.temperature) if params.temperature > 0.0 else math.inf
-        if label == EARLY:
-            return cls(EARLY, 0.0, inv_omega / _GUARD)
-        if label == INTERMEDIATE:
-            return cls(INTERMEDIATE, inv_omega * _GUARD, tau_F / _GUARD)
-        if label == LATE:
-            if math.isinf(tau_F):
-                raise DomainError("late regime undefined at T = 0")
-            return cls(LATE, tau_F * _GUARD, math.inf)
-        raise DomainError(f"unknown regime {label!r}")
-
-
-def classify_regime(params: ModelParams, t_seconds):
-    """Label of the guard-banded regime containing t, or None between bands
-    (an object array of them for an array of times)."""
-    params.tau(t_seconds)   # the time check
-    t = np.asarray(t_seconds, dtype=float)
-    labels = np.full(t.shape, None, dtype=object)
-    # reversed, so that where bands overlap the earliest label is written last
-    for label in (LATE, INTERMEDIATE, EARLY):
-        try:
-            labels[Regime.of(params, label).contains(t)] = label
-        except DomainError:
-            continue
-    return labels[()]
-
-
-def _check_regime(params: ModelParams, t_seconds, label: str) -> None:
-    reg = Regime.of(params, label)
-    outside = ~reg.contains(np.asarray(t_seconds, dtype=float))
-    if np.any(outside):
-        raise DomainError(
-            f"t = {np.asarray(t_seconds)[outside].flat[0]:.3g} s outside the {label} regime "
-            f"[{reg.t_min:.3g}, {reg.t_max:.3g}] s"
-        )
-
-
-def gamma_regime_approx(params: ModelParams, t_seconds, regime: str):
-    """Branch approximations of Gamma(t).
-
-    early: (2a/3pi) tau^2/2 (vacuum, quadratic); intermediate: (2a/3pi) ln tau
-    (vacuum, logarithmic); late: (2a/3pi) t/tau_F (thermal, linear). The late
-    branch approximates Gamma_th and its relative accuracy is ln(2x)/x, so 2%
-    needs t beyond ~500 tau_F; accuracy generally degrades toward band edges.
-    """
-    tau = params.tau(t_seconds)
-    _check_regime(params, t_seconds, regime)
-    scale = coupling_scale(params.alpha)
-    if regime == EARLY:
-        return scale * 0.5 * tau * tau
-    if regime == INTERMEDIATE:
-        return scale * np.log(tau)
-    return scale * params.thermal_x(t_seconds)
-
-
-def phi_regime_approx(params: ModelParams, t_seconds, regime: str):
-    """Branch approximations of Phi(t): interaction part tau^3/3 (early) or tau
-    (late, meaning t >> 1/Omega), both minus the free term tau/(2 epsilon)."""
-    tau = params.tau(t_seconds)
-    if regime == INTERMEDIATE:
-        raise DomainError("Phi has only early (t << 1/Omega) and late (t >> 1/Omega) branches")
-    free = 0.5 * tau / params.epsilon
-    if regime == EARLY:
-        _check_regime(params, t_seconds, EARLY)
-        return coupling_scale(params.alpha) * tau**3 / 3.0 - free
-    if np.any(np.asarray(t_seconds) < _GUARD / params.omega_cut):
-        raise DomainError(f"t = {np.min(t_seconds):.3g} s is not >> 1/Omega")
-    return coupling_scale(params.alpha) * tau - free

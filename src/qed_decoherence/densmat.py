@@ -12,9 +12,9 @@ Fourier transform, expressed with the dimensionless
 so that the packet width obeys delta_r(t)^2 = 3 d^2 Z.
 
 All quantities in internal units: momenta in m0 c, positions in hbar/(m0 c),
-hbar = 1. The 3-D matrices factorize into identical per-axis 1-D pieces; 1-D
-mode is primary (it is what the figure data uses), 3-D is the product of the
-per-axis factors. Grids are always chosen by the caller.
+hbar = 1. The 3-D matrices factorize into identical per-axis pieces, so the
+packet and its grids are 1-D, along the axis of p0. Grids are always chosen
+by the caller.
 
 On a 1-D grid x both representations have the factored form
 
@@ -27,8 +27,7 @@ with N^2 real exponentials, evaluated in place, and N complex ones. M is
 built from -g (x_i - x_j)^2 as it stands: splitting it into
 exp(-g x_i^2) exp(2 g x_i x_j) exp(-g x_j^2) would overflow once g x^2
 passes ~709 (late times, large Gamma) and cancel catastrophically before
-that. The scalar element functions evaluate the closed forms term by term
-and stay the independent references the grids are tested against.
+that.
 """
 
 from __future__ import annotations
@@ -42,48 +41,37 @@ from .decoherence import DecoherenceFactors
 from .params import DomainError, ModelParams
 
 __all__ = [
-    "MAX_PHASE", "GaussianPacket", "mean_displacement_vec", "rho_p", "rho_p_initial",
-    "rho_p_matrix", "rho_r", "rho_r_initial", "rho_r_matrix", "width_t", "z_factor",
+    "MAX_PHASE", "GaussianPacket", "mean_displacement", "rho_p_matrix", "rho_r_matrix",
+    "width_t", "z_factor",
 ]
 
 
 @dataclass(frozen=True)
 class GaussianPacket:
-    """Initial Gaussian wave packet: mean momentum p0 (m0 c), width delta_p
-    (m0 c), initial position r0 (hbar/m0 c), in dims = 1 or 3 dimensions.
+    """Initial 1-D Gaussian wave packet: mean momentum p0 (m0 c), width
+    delta_p (m0 c), initial position r0 (hbar/m0 c).
 
     delta_r delta_p = 3/2 (hbar = 1) is built in; d = delta_r/sqrt(3) is the
     per-axis Gaussian scale.
     """
 
-    p0: tuple[float, ...]
+    p0: float
     delta_p: float
-    r0: tuple[float, ...]
-    dims: int = 1
+    r0: float
 
     def __post_init__(self):
-        if self.dims not in (1, 3):
-            raise DomainError("dims must be 1 or 3")
         if self.delta_p <= 0.0:
             raise DomainError("delta_p must be positive")
-        p0 = tuple(float(x) for x in np.atleast_1d(self.p0))
-        r0 = tuple(float(x) for x in np.atleast_1d(self.r0))
-        if len(p0) != self.dims or len(r0) != self.dims:
-            raise DomainError(f"p0 and r0 must have {self.dims} components")
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "r0", r0)
 
     @classmethod
-    def from_params(cls, params: ModelParams, dims: int = 1) -> "GaussianPacket":
-        r0 = params.r0_internal()
-        if dims == 1:
-            return cls(p0=(params.p0[0],), delta_p=params.delta_p, r0=(r0[0],), dims=1)
-        return cls(p0=params.p0, delta_p=params.delta_p, r0=r0, dims=3)
+    def from_params(cls, params: ModelParams) -> "GaussianPacket":
+        """The packet along x, the axis of ModelParams.p0 and r0."""
+        return cls(p0=params.p0[0], delta_p=params.delta_p, r0=params.r0_internal()[0])
 
     @property
     def norm(self) -> float:
-        """N = (sqrt(3)/(sqrt(2 pi) delta_p))^dims, the unit-trace normalization."""
-        return (math.sqrt(3.0) / (math.sqrt(2.0 * math.pi) * self.delta_p)) ** self.dims
+        """N = sqrt(3)/(sqrt(2 pi) delta_p), the unit-trace normalization."""
+        return math.sqrt(3.0) / (math.sqrt(2.0 * math.pi) * self.delta_p)
 
     @property
     def delta_r(self) -> float:
@@ -92,57 +80,6 @@ class GaussianPacket:
     @property
     def d(self) -> float:
         return self.delta_r / math.sqrt(3.0)
-
-
-def _vec(x, dims: int) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.shape != (dims,):
-        raise DomainError(f"expected {dims}-component vector, got shape {v.shape}")
-    return v
-
-
-def rho_p_initial(p, p_prime, packet: GaussianPacket) -> complex:
-    """Initial packet element N exp{-3[(p-p0)^2 + (p'-p0)^2]/(4 dp^2) - i r0.(p-p')}."""
-    p = _vec(p, packet.dims)
-    pp = _vec(p_prime, packet.dims)
-    p0 = np.asarray(packet.p0)
-    r0 = np.asarray(packet.r0)
-    gauss = -3.0 * (np.sum((p - p0) ** 2) + np.sum((pp - p0) ** 2)) / (4.0 * packet.delta_p**2)
-    phase = -np.dot(r0, p - pp)
-    return packet.norm * complex(math.exp(gauss) * math.cos(phase),
-                                 math.exp(gauss) * math.sin(phase))
-
-
-def rho_p(p, p_prime, packet: GaussianPacket, factors: DecoherenceFactors) -> complex:
-    """Momentum-space element at the time carried by `factors`.
-
-    The diagonal (p = p') is constant in time: momentum is the pointer basis.
-    """
-    p = _vec(p, packet.dims)
-    pp = _vec(p_prime, packet.dims)
-    dp2 = float(np.sum((p - pp) ** 2))
-    e2 = float(np.sum(p**2) - np.sum(pp**2))
-    env = -factors.gamma * dp2
-    return rho_p_initial(p, p_prime, packet) * complex(
-        math.exp(env) * math.cos(factors.phi * e2),
-        math.exp(env) * math.sin(factors.phi * e2),
-    )
-
-
-def rho_r_initial(q, q_prime, packet: GaussianPacket) -> complex:
-    """Initial coordinate element, q = r - r0 the displacement:
-
-    (N dp^dims / dr^dims) exp[i p0.(q-q') - 3(q^2 + q'^2)/(4 dr^2)].
-    """
-    q = _vec(q, packet.dims)
-    qp = _vec(q_prime, packet.dims)
-    p0 = np.asarray(packet.p0)
-    dr = packet.delta_r
-    pref = packet.norm * (packet.delta_p / dr) ** packet.dims
-    gauss = -3.0 * (np.sum(q**2) + np.sum(qp**2)) / (4.0 * dr**2)
-    phase = float(np.dot(p0, q - qp))
-    return pref * complex(math.exp(gauss) * math.cos(phase),
-                          math.exp(gauss) * math.sin(phase))
 
 
 def z_factor(packet: GaussianPacket, factors: DecoherenceFactors) -> float:
@@ -156,36 +93,9 @@ def width_t(packet: GaussianPacket, factors: DecoherenceFactors) -> float:
     return math.sqrt(3.0) * packet.d * math.sqrt(z_factor(packet, factors))
 
 
-def mean_displacement_vec(packet: GaussianPacket, factors: DecoherenceFactors) -> np.ndarray:
-    """<q>_t = -2 p0 Phi(t) per component (hbar = 1)."""
-    return -2.0 * factors.phi * np.asarray(packet.p0)
-
-
-def rho_r(q, q_prime, packet: GaussianPacket, factors: DecoherenceFactors) -> complex:
-    """Coordinate-space element at the time carried by `factors` (q displacements).
-
-    Closed form of the double Fourier transform: the t = 0 shape with
-    delta_r -> delta_r(t), center -> <q>_t, the drift phase rescaled by
-    (delta_r^2 + 6 Gamma)/delta_r(t)^2, and the decoherence/phase exponent
-    (dp^2/delta_r(t)^2)[-Gamma (q-q')^2 - i Phi (q^2 - q'^2)].
-    """
-    q = _vec(q, packet.dims)
-    qp = _vec(q_prime, packet.dims)
-    p0 = np.asarray(packet.p0)
-    dr2 = packet.delta_r**2
-    wt = width_t(packet, factors)
-    wt2 = wt * wt
-    qc = mean_displacement_vec(packet, factors)
-
-    pref = packet.norm * (packet.delta_p / wt) ** packet.dims
-    drift_phase = (dr2 + 6.0 * factors.gamma) / wt2 * float(np.dot(p0, q - qp))
-    gauss = -3.0 * (np.sum((q - qc) ** 2) + np.sum((qp - qc) ** 2)) / (4.0 * wt2)
-    dq2 = float(np.sum((q - qp) ** 2))
-    q2diff = float(np.sum(q**2) - np.sum(qp**2))
-    scale = packet.delta_p**2 / wt2
-    env = gauss - scale * factors.gamma * dq2
-    phase = drift_phase - scale * factors.phi * q2diff
-    return pref * complex(math.exp(env) * math.cos(phase), math.exp(env) * math.sin(phase))
+def mean_displacement(packet: GaussianPacket, factors: DecoherenceFactors) -> float:
+    """<q>_t = -2 p0 Phi(t) (hbar = 1)."""
+    return -2.0 * factors.phi * packet.p0
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +142,15 @@ def _factored_grid(x: np.ndarray, norm: float, a: float, c: float, g: float,
 def rho_p_matrix(p_grid: np.ndarray, packet: GaussianPacket, factors: DecoherenceFactors,
                  max_phase: float = math.inf) -> np.ndarray:
     """Full (N, N) momentum matrix rho(p_i, p_j) on a 1-D grid (max_phase: see MAX_PHASE)."""
-    if packet.dims != 1:
-        raise DomainError("rho_p_matrix is 1-D only")
     return _factored_grid(np.asarray(p_grid, dtype=float), packet.norm,
-                          0.75 / packet.delta_p**2, packet.p0[0], factors.gamma,
-                          factors.phi, -packet.r0[0], max_phase)
+                          0.75 / packet.delta_p**2, packet.p0, factors.gamma,
+                          factors.phi, -packet.r0, max_phase)
 
 
 def rho_r_matrix(q_grid: np.ndarray, packet: GaussianPacket, factors: DecoherenceFactors,
                  max_phase: float = math.inf) -> np.ndarray:
     """Full (N, N) coordinate matrix rho(q_i, q_j) on a 1-D displacement grid."""
-    if packet.dims != 1:
-        raise DomainError("rho_r_matrix is 1-D only")
-    p0 = packet.p0[0]
+    p0 = packet.p0
     wt2 = width_t(packet, factors) ** 2
     scale = packet.delta_p**2 / wt2
     return _factored_grid(np.asarray(q_grid, dtype=float),

@@ -31,6 +31,12 @@ from .quadrature import (
     trapezoid_weights,
 )
 
+__all__ = ["ORACLE_CHECKS", "GridResolutionError", "OracleReport", "default_transform_grids",
+           "fig3_time", "fourier_rho_r", "quad_field_energy", "quad_gamma_th",
+           "quad_gamma_total", "quad_gamma_vac", "quad_phase", "quad_photon",
+           "quad_photon_continuum", "run_all", "small_omega_series", "thermal_tolerance",
+           "transform_consistency"]
+
 DEFAULT_SPEC = QuadratureSpec()
 
 
@@ -227,12 +233,10 @@ def fourier_rho_r(packet: GaussianPacket, factors: DecoherenceFactors,
     absolute positions r = q + r0 carry the transform phases so the packet's
     own r0 phase cancels exactly as in the analytic calculation.
     """
-    if packet.dims != 1:
-        raise DomainError("transform oracle is 1-D")
     p = np.asarray(p_grid, dtype=float)
     rho = densmat.rho_p_matrix(p, packet, factors)
     w = trapezoid_weights(p)
-    r = np.asarray(q_grid, dtype=float) + packet.r0[0]
+    r = np.asarray(q_grid, dtype=float) + packet.r0
     E = np.exp(1j * np.outer(r, p)) * w
     return (E @ rho @ E.conj().T) / (2.0 * math.pi)
 
@@ -242,10 +246,9 @@ def default_transform_grids(packet: GaussianPacket, factors: DecoherenceFactors,
                             p_halfspan_widths: float = 6.0) -> tuple[np.ndarray, np.ndarray]:
     """Grids per the oracle policy: p symmetric about p0 spanning >= 8 delta_p
     total (default 12), q centered on <q>_t within the packet's +-6 delta_r(t)."""
-    p0 = packet.p0[0]
-    p_grid = np.linspace(p0 - p_halfspan_widths * packet.delta_p,
-                         p0 + p_halfspan_widths * packet.delta_p, n_p)
-    center = float(densmat.mean_displacement_vec(packet, factors)[0])
+    p_grid = np.linspace(packet.p0 - p_halfspan_widths * packet.delta_p,
+                         packet.p0 + p_halfspan_widths * packet.delta_p, n_p)
+    center = densmat.mean_displacement(packet, factors)
     half = 10.0 * packet.d * math.sqrt(densmat.z_factor(packet, factors))  # = 5.77 delta_r(t)
     q_grid = np.linspace(center - half, center + half, n_q)
     return p_grid, q_grid
@@ -273,13 +276,7 @@ def transform_consistency(packet: GaussianPacket, factors: DecoherenceFactors,
         )
     closed = densmat.rho_r_matrix(q_grid, packet, factors)
     deviation = float(np.max(np.abs(numeric2 - closed))) / peak
-    return {
-        "max_deviation_over_peak": deviation,
-        "stability_over_peak": stability,
-        "peak": peak,
-        "n_p": n_p,
-        "n_q": n_q,
-    }
+    return {"max_deviation_over_peak": deviation, "stability_over_peak": stability}
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +318,7 @@ ORACLE_CHECKS = {
     "field_energy": ("field.mean_field_energy", 1e-8),
     "factor2_identity": ("field.mean_photon_number = 2 Gamma_vac pbar^2", 1e-12),
     "field_mass_identity": ("field.mean_field_energy = (pbar^2/2m0)(2 dm/m0)", 1e-12),
-    "rho_r_transform": ("densmat.rho_r", 1e-6),
+    "rho_r_transform": ("densmat.rho_r_matrix", 1e-6),
 }
 
 
@@ -448,7 +445,7 @@ def fig3_time(params: ModelParams) -> float:
 def transform_reports(params: ModelParams, spec: QuadratureSpec = DEFAULT_SPEC,
                       n_p: int = 1024) -> list[OracleReport]:
     """Transform-consistency reports at t = 0 and t = 3 tau_vac."""
-    packet = GaussianPacket.from_params(params, dims=1)
+    packet = GaussianPacket.from_params(params)
     tol = ORACLE_CHECKS["rho_r_transform"][1]
     out = []
     for label, t in (("t=0", 0.0), ("t=3tau_vac", fig3_time(params))):
@@ -457,7 +454,7 @@ def transform_reports(params: ModelParams, spec: QuadratureSpec = DEFAULT_SPEC,
             res = transform_consistency(packet, factors, n_p=n_p)
             dev = res["max_deviation_over_peak"]
             out.append(OracleReport(
-                "rho_r_transform", 0.0, dev, dev, dev, tol, res["n_p"], dev <= tol,
+                "rho_r_transform", 0.0, dev, dev, dev, tol, n_p, dev <= tol,
                 f"{label}: peak-relative deviation; stability {res['stability_over_peak']:.2e}"))
         except GridResolutionError as exc:
             out.append(OracleReport("rho_r_transform", math.nan, math.nan, math.inf,

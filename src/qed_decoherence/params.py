@@ -25,11 +25,16 @@ import dataclasses
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import BOLTZMANN, HBAR, SPEED_OF_LIGHT
+
+__all__ = ["DipoleValidityWarning", "DomainError", "ModelParams", "Timescales",
+           "thermal_decoherence_time", "thermal_time", "transition_time",
+           "vacuum_decoherence_time", "vacuum_thermal_crossover", "validity_bound",
+           "validity_window"]
 
 
 class DomainError(ValueError):
@@ -163,9 +168,6 @@ class ModelParams:
         """Initial position, c/Omega units -> hbar/(m0 c) units."""
         return tuple(c / self.epsilon for c in self.r0)
 
-    def with_overrides(self, **kw) -> "ModelParams":
-        return replace(self, **kw)
-
 
 @dataclass(frozen=True)
 class Timescales:
@@ -212,13 +214,12 @@ def bisect(f, lo: float, hi: float, rel_tol: float = 1e-14, max_iter: int = 200)
     return 0.5 * (lo + hi)
 
 
-def transition_time(omega_cut: float, tau_F: float, root: str = "late") -> float:
-    """Root of ln(Omega t) = t / tau_F, seconds.
+def transition_time(omega_cut: float, tau_F: float) -> float:
+    """Late root of ln(Omega t) = t / tau_F, seconds.
 
     The equation has two crossings when Omega tau_F >> e: an early one near
     t ~ Omega^-1 where the log leaves zero, and a late one where the linear
-    term overtakes. The late root is the physically quoted transition time;
-    the early root is exposed behind root="early".
+    term overtakes. The late root is the physically quoted transition time.
     """
     w = omega_cut * tau_F
     if not w > math.e:
@@ -226,13 +227,7 @@ def transition_time(omega_cut: float, tau_F: float, root: str = "late") -> float
             f"no late-time crossing of ln(Omega t) = t/tau_F: Omega tau_F = {w:.3g} <= e"
         )
     f = lambda x: math.log(w * x) - x   # x = t / tau_F
-    if root == "late":
-        x = bisect(f, 1.0, 1e6, rel_tol=1e-15)
-    elif root == "early":
-        x = bisect(f, 1e-6 / w, 1.0, rel_tol=1e-15)
-    else:
-        raise DomainError(f"unknown root selector {root!r}")
-    return x * tau_F
+    return bisect(f, 1.0, 1e6, rel_tol=1e-15) * tau_F
 
 
 def vacuum_thermal_crossover(omega_cut: float, tau_F: float) -> float:

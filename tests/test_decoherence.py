@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from qed_decoherence import decoherence as dec
 from qed_decoherence.decoherence import (
     DecoherenceFactors,
-    classify_regime,
-    gamma_regime_approx,
     gamma_th_factor,
     gamma_vac_factor,
     phase_factor,
-    phi_regime_approx,
     spectral_density,
 )
-from qed_decoherence.params import DomainError, thermal_time, vacuum_thermal_crossover
+from qed_decoherence.params import thermal_time, vacuum_thermal_crossover
 
 from conftest import make_params
 
@@ -217,54 +214,43 @@ class TestCrossoverInvariant:
 
 
 class TestRegimes:
-    def test_classification(self, default_params):
-        p = default_params
-        assert classify_regime(p, p.seconds(1e-3)) == "early"
-        assert classify_regime(p, p.seconds(1e3)) == "intermediate"
-        assert classify_regime(p, thermal_time(1.0) * 100.0) == "late"
-        assert classify_regime(p, p.seconds(1.0)) is None  # inside the guard gap
+    """The asymptotes of the factors in each time regime, with
+    scale = coupling_scale(alpha)."""
 
     def test_early_branch_one_percent(self, default_params):
+        # t << 1/Omega: Gamma ~ scale tau^2/2
         p = default_params
-        t = p.seconds(1e-3)
-        assert gamma_regime_approx(p, t, "early") == pytest.approx(
-            DecoherenceFactors.at_time(p, t).gamma, rel=1e-2)
+        tau = 1e-3
+        assert dec.coupling_scale(p.alpha) * tau**2 / 2 == pytest.approx(
+            DecoherenceFactors.at_time(p, p.seconds(tau)).gamma, rel=1e-2)
 
     def test_intermediate_branch_two_percent(self, default_params):
+        # 1/Omega << t << tau_F: Gamma ~ scale ln tau
         p = default_params
-        t = p.seconds(1e3)  # well below tau_F = 2.4e7/Omega
-        assert gamma_regime_approx(p, t, "intermediate") == pytest.approx(
-            DecoherenceFactors.at_time(p, t).gamma, rel=2e-2)
+        tau = 1e3  # well below tau_F = 2.4e7/Omega
+        assert dec.coupling_scale(p.alpha) * math.log(tau) == pytest.approx(
+            DecoherenceFactors.at_time(p, p.seconds(tau)).gamma, rel=2e-2)
 
     def test_late_branch_two_percent_vs_thermal(self, default_params):
-        # the linear branch approximates Gamma_th; ln(2x)/x < 2% needs x >= ~500
+        # t >> tau_F: Gamma_th ~ scale t/tau_F; ln(2x)/x < 2% needs x >= ~500
         p = default_params
         t = thermal_time(1.0) * 1e3
-        assert gamma_regime_approx(p, t, "late") == pytest.approx(
+        assert dec.coupling_scale(p.alpha) * t / thermal_time(1.0) == pytest.approx(
             gamma_th_factor(p, t), rel=2e-2)
 
-    def test_out_of_regime_raises(self, default_params):
-        p = default_params
-        with pytest.raises(DomainError, match="outside"):
-            gamma_regime_approx(p, p.seconds(1.0), "early")
-
     def test_phi_branches(self, default_params):
+        # Phi ~ scale tau^3/3 - tau/2 epsilon early, scale tau - tau/2 epsilon late
         p = default_params
-        t_small = p.seconds(1e-3)
-        assert phi_regime_approx(p, t_small, "early") == pytest.approx(
-            phase_factor(p, t_small), rel=1e-6)
+        scale = dec.coupling_scale(p.alpha)
+        tau = 1e-3
+        assert scale * tau**3 / 3 - tau / (2 * p.epsilon) == pytest.approx(
+            phase_factor(p, p.seconds(tau)), rel=1e-6)
         # interaction parts: tau branch within 2% at tau = 100 (arctan -> pi/2)
         tau = 100.0
-        t_late = p.seconds(tau)
         free = 0.5 * tau / p.epsilon
-        approx_int = phi_regime_approx(p, t_late, "late") + free
-        exact_int = phase_factor(p, t_late) + free
+        approx_int = scale * tau - tau / (2 * p.epsilon) + free
+        exact_int = phase_factor(p, p.seconds(tau)) + free
         assert approx_int == pytest.approx(exact_int, rel=2e-2)
-
-    def test_late_regime_undefined_at_T0(self):
-        p0 = make_params(temperature=0.0)
-        with pytest.raises(DomainError):
-            dec.Regime.of(p0, "late")
 
 
 class TestFactorBundle:

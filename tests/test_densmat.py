@@ -10,12 +10,8 @@ from qed_decoherence.decoherence import DecoherenceFactors
 from qed_decoherence.densmat import (
     MAX_PHASE,
     GaussianPacket,
-    mean_displacement_vec,
-    rho_p,
-    rho_p_initial,
+    mean_displacement,
     rho_p_matrix,
-    rho_r,
-    rho_r_initial,
     rho_r_matrix,
     width_t,
     z_factor,
@@ -24,10 +20,11 @@ from qed_decoherence.oracle import fig3_time
 from qed_decoherence.params import DomainError
 
 from conftest import make_params
+from reference import rho_p, rho_p_initial, rho_r, rho_r_initial
 
 
 def packet_1d(p0=0.1, dp=0.1, r0=0.0):
-    return GaussianPacket(p0=(p0,), delta_p=dp, r0=(r0,), dims=1)
+    return GaussianPacket(p0=p0, delta_p=dp, r0=r0)
 
 
 def factors_at(params, tau):
@@ -63,17 +60,9 @@ class TestInitialPacket:
         expected = pk.norm * (pk.delta_p / pk.delta_r)
         assert rho_r_initial(0.0, 0.0, pk) == pytest.approx(expected)
 
-    def test_3d_norm_is_cubed(self):
-        pk3 = GaussianPacket(p0=(0.0, 0.0, 0.0), delta_p=0.1, r0=(0.0, 0.0, 0.0), dims=3)
-        assert pk3.norm == pytest.approx(packet_1d().norm ** 3, rel=1e-14)
-
     def test_width_product(self):
         pk = packet_1d(dp=0.37)
         assert pk.delta_r * pk.delta_p == pytest.approx(1.5, rel=1e-14)
-
-    def test_bad_dims_rejected(self):
-        with pytest.raises(DomainError):
-            GaussianPacket(p0=(0.1, 0.0), delta_p=0.1, r0=(0.0, 0.0), dims=2)
 
 
 class TestRhoP:
@@ -158,11 +147,11 @@ class TestRhoR:
     def test_free_evolution_gaussian_center_and_width(self):
         # alpha = 0: packet drifts at p0/m0 and spreads like the free solution
         p = make_params(alpha=0.0, p0=(0.2, 0.0, 0.0))
-        pk = GaussianPacket.from_params(p, dims=1)
+        pk = GaussianPacket.from_params(p)
         tau = 500.0
         t_int = tau / p.epsilon
         f = factors_at(p, tau)
-        center = mean_displacement_vec(pk, f)[0]
+        center = mean_displacement(pk, f)
         assert center == pytest.approx(0.2 * t_int, rel=1e-12)
         w = width_t(pk, f)
         expected = pk.delta_r * math.sqrt(1 + (pk.delta_p * t_int) ** 2 / pk.delta_r**2)
@@ -179,7 +168,7 @@ class TestRhoR:
                              rel_tol=1e-12)
 
     def test_position_trace_is_one_at_late_time(self, fig3_params):
-        pk = GaussianPacket.from_params(fig3_params, dims=1)
+        pk = GaussianPacket.from_params(fig3_params)
         f = DecoherenceFactors.at_time(fig3_params, fig3_time(fig3_params))
         w = width_t(pk, f)
         grid = np.linspace(-8 * w / math.sqrt(3), 8 * w / math.sqrt(3), 4001)
@@ -187,7 +176,7 @@ class TestRhoR:
         assert np.trapezoid(np.real(np.diagonal(m)), grid) == pytest.approx(1.0, abs=1e-8)
 
     def test_matrix_matches_scalar_elements(self, fig3_params):
-        pk = GaussianPacket.from_params(fig3_params, dims=1)
+        pk = GaussianPacket.from_params(fig3_params)
         f = DecoherenceFactors.at_time(fig3_params, fig3_time(fig3_params))
         grid = np.linspace(-20.0, 20.0, 5)
         m = rho_r_matrix(grid, pk, f)
@@ -195,41 +184,15 @@ class TestRhoR:
             for j, b in enumerate(grid):
                 assert m[i, j] == pytest.approx(rho_r(a, b, pk, f), rel=1e-12)
 
-    def test_3d_factorizes_into_1d_product(self, default_params):
-        f = factors_at(default_params, 50.0)
-        pk3 = GaussianPacket(p0=(0.1, 0.0, 0.0), delta_p=0.1, r0=(0.0, 0.0, 0.0), dims=3)
-        pk1 = packet_1d(p0=0.1)
-        pk1y = packet_1d(p0=0.0)
-        q = (3.0, -1.0, 0.5)
-        qp = (2.0, 0.0, -0.5)
-        lhs = rho_r(q, qp, pk3, f)
-        rhs = (rho_r(q[0], qp[0], pk1, f)
-               * rho_r(q[1], qp[1], pk1y, f)
-               * rho_r(q[2], qp[2], pk1y, f))
-        assert cmath.isclose(lhs, rhs, rel_tol=1e-11)
-
-    def test_3d_momentum_factorizes_too(self, default_params):
-        # with the per-axis factorization, unit trace in 3-D follows from 1-D
-        f = factors_at(default_params, 50.0)
-        pk3 = GaussianPacket(p0=(0.1, 0.0, 0.0), delta_p=0.1, r0=(0.0, 0.0, 0.0), dims=3)
-        pk1 = packet_1d(p0=0.1)
-        pk1y = packet_1d(p0=0.0)
-        a = (0.2, -0.1, 0.05)
-        b = (0.15, 0.0, -0.05)
-        lhs = rho_p(a, b, pk3, f)
-        rhs = (rho_p(a[0], b[0], pk1, f)
-               * rho_p(a[1], b[1], pk1y, f)
-               * rho_p(a[2], b[2], pk1y, f))
-        assert cmath.isclose(lhs, rhs, rel_tol=1e-11)
-
 
 class TestFactoredGrids:
-    """The grids are built in factored form; the scalar element functions,
-    which evaluate the closed forms term by term, are the references."""
+    """The grids are built in factored form; the scalar element functions of
+    tests/reference.py, which evaluate the closed forms term by term, are the
+    references."""
 
     @pytest.mark.parametrize("label", ["t=0", "t=3tau_vac"])
     def test_momentum_matrix_matches_scalar_elements(self, fig3_params, label):
-        pk = GaussianPacket.from_params(fig3_params, dims=1)
+        pk = GaussianPacket.from_params(fig3_params)
         t = 0.0 if label == "t=0" else fig3_time(fig3_params)
         f = DecoherenceFactors.at_time(fig3_params, t)
         grid = np.linspace(-6 * pk.delta_p, 6 * pk.delta_p, 7)
@@ -292,7 +255,7 @@ class TestFactoredGrids:
 class TestFigureThreeProperty:
     def test_off_diagonal_suppression_at_3tau_vac(self, fig3_params):
         # normalized |rho| at (dp, -dp) must drop strictly below its t=0 value
-        pk = GaussianPacket.from_params(fig3_params, dims=1)
+        pk = GaussianPacket.from_params(fig3_params)
         dp = pk.delta_p
         f0 = DecoherenceFactors.at_time(fig3_params, 0.0)
         f1 = DecoherenceFactors.at_time(fig3_params, fig3_time(fig3_params))

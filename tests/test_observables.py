@@ -13,6 +13,7 @@ from qed_decoherence.params import thermal_time
 from qed_decoherence.quadrature import QuadratureSpec, adaptive
 
 from conftest import make_params
+from reference import rho_p
 
 EPS = 2.2e-16
 
@@ -42,7 +43,7 @@ class TestMomentumWidth:
 
     def test_grid_second_moment(self, default_params):
         # 1-D slice: diagonal variance is delta_p^2/3
-        pk = GaussianPacket.from_params(default_params, dims=1)
+        pk = GaussianPacket.from_params(default_params)
         f = DecoherenceFactors.at_time(default_params, default_params.seconds(100.0))
         grid = np.linspace(0.1 - 0.8, 0.1 + 0.8, 6001)
         diag = np.real(np.diagonal(rho_p_matrix(grid, pk, f)))
@@ -72,14 +73,13 @@ class TestCoherenceLengths:
 
         p = fig3_params
         t = fig3_time(p)
-        pk = GaussianPacket.from_params(p, dims=1)
+        pk = GaussianPacket.from_params(p)
         f = DecoherenceFactors.at_time(p, t)
         u = np.linspace(-0.05, 0.05, 41)
         vals = np.array([abs(
             np.exp(-3 * ((ui / 2) ** 2 + (ui / 2) ** 2) / (4 * pk.delta_p**2))
             * np.exp(-f.gamma * ui**2)) for ui in u])
         # reconstruct through the actual matrix elements for independence
-        from qed_decoherence.densmat import rho_p
         vals = np.array([abs(rho_p(ui / 2, -ui / 2, pk, f)) for ui in u]) / pk.norm
         c = -np.polyfit(u**2, np.log(vals), 1)[0]
         assert math.sqrt(3.0 / (8.0 * c)) == pytest.approx(
@@ -226,7 +226,7 @@ class TestSpatialWidth:
 
     def test_width_equals_3d2Z(self, default_params):
         p = default_params
-        pk = GaussianPacket.from_params(p, dims=1)
+        pk = GaussianPacket.from_params(p)
         for tau in (1e-2, 1.0, 1e3, 1e6):
             f = DecoherenceFactors.at_time(p, p.seconds(tau))
             direct = obs.snapshot(p, p.seconds(tau)).delta_r_t
@@ -238,7 +238,7 @@ class TestSpatialWidth:
 
         p = fig3_params
         t = fig3_time(p)
-        pk = GaussianPacket.from_params(p, dims=1)
+        pk = GaussianPacket.from_params(p)
         f = DecoherenceFactors.at_time(p, t)
         w = width_t(pk, f)
         grid = np.linspace(-9 * w / math.sqrt(3), 9 * w / math.sqrt(3), 8001)

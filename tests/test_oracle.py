@@ -141,14 +141,14 @@ class TestFrequencyOracles:
 
 class TestTransformOracle:
     def test_t0_reproduces_initial(self, fig3_params):
-        packet = GaussianPacket.from_params(fig3_params, dims=1)
+        packet = GaussianPacket.from_params(fig3_params)
         f0 = DecoherenceFactors.at_time(fig3_params, 0.0)
         res = transform_consistency(packet, f0, n_p=1024)
         assert res["max_deviation_over_peak"] <= 1e-6
         assert res["stability_over_peak"] <= 1e-7
 
     def test_decohered_time_matches_closed_form(self, fig3_params):
-        packet = GaussianPacket.from_params(fig3_params, dims=1)
+        packet = GaussianPacket.from_params(fig3_params)
         f = DecoherenceFactors.at_time(fig3_params, fig3_time(fig3_params))
         res = transform_consistency(packet, f, n_p=1024)
         assert res["max_deviation_over_peak"] <= 1e-6
@@ -156,15 +156,15 @@ class TestTransformOracle:
 
     def test_under_resolution_detected(self, fig3_params):
         # 48 momentum points cannot carry the chirp phase at 3 tau_vac
-        packet = GaussianPacket.from_params(fig3_params, dims=1)
+        packet = GaussianPacket.from_params(fig3_params)
         f = DecoherenceFactors.at_time(fig3_params, fig3_time(fig3_params))
         with pytest.raises(GridResolutionError):
             transform_consistency(packet, f, n_p=48)
 
     def test_moments_match_closed_forms(self, fig3_params):
         # <q> and <q^2> from the transformed diagonal vs -2 p0 Phi and d^2 Z
-        p = fig3_params.with_overrides(p0=(0.05, 0.0, 0.0), v0=None)
-        packet = GaussianPacket.from_params(p, dims=1)
+        p = dataclasses.replace(fig3_params, p0=(0.05, 0.0, 0.0), v0=None)
+        packet = GaussianPacket.from_params(p)
         f = DecoherenceFactors.at_time(p, fig3_time(p))
         p_grid, q_grid = default_transform_grids(packet, f, n_p=2048, n_q=801)
         m = fourier_rho_r(packet, f, p_grid, q_grid)
@@ -180,7 +180,7 @@ class TestTransformOracle:
         assert second == pytest.approx(second_closed, rel=1e-6)
 
     def test_hermiticity_of_numeric_transform(self, fig3_params):
-        packet = GaussianPacket.from_params(fig3_params, dims=1)
+        packet = GaussianPacket.from_params(fig3_params)
         f = DecoherenceFactors.at_time(fig3_params, fig3_time(fig3_params))
         p_grid, q_grid = default_transform_grids(packet, f, n_p=512, n_q=41)
         m = fourier_rho_r(packet, f, p_grid, q_grid)
@@ -188,8 +188,8 @@ class TestTransformOracle:
 
     def test_nonzero_r0_consistent(self, fig3_params):
         # the packet's r0 phase must cancel against the transform phases
-        p = fig3_params.with_overrides(r0=(0.5, 0.0, 0.0))
-        packet = GaussianPacket.from_params(p, dims=1)
+        p = dataclasses.replace(fig3_params, r0=(0.5, 0.0, 0.0))
+        packet = GaussianPacket.from_params(p)
         f = DecoherenceFactors.at_time(p, fig3_time(p))
         p_grid, q_grid = default_transform_grids(packet, f, n_p=1024, n_q=101)
         numeric = fourier_rho_r(packet, f, p_grid, q_grid)

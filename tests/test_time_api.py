@@ -16,14 +16,13 @@ import pytest
 from qed_decoherence import decoherence as dec
 from qed_decoherence import field as fld
 from qed_decoherence import observables as obs
-from qed_decoherence.params import DomainError, thermal_time
+from qed_decoherence.params import DomainError
 
 from conftest import make_params
 
 PARAMS = make_params(temperature=300.0)
 OMEGA = PARAMS.omega_cut
 T_GRID = np.array([0.0, 1e-3, 0.5, 7.0, 1e3, 1e6]) / OMEGA
-T_LATE = thermal_time(300.0) * np.array([10.0, 1e2, 1e3])
 
 # The single-quantity functions that snapshot's columns replaced keep their
 # labels here, so each case id stays and each column is checked on its own.
@@ -45,17 +44,6 @@ CASES = {
                        * dec.tau_minus_arctan(PARAMS.tau(t)), T_GRID),
     "decoherence.DecoherenceFactors.at_time":
         (lambda t: dec.DecoherenceFactors.at_time(PARAMS, t), T_GRID),
-    "decoherence.classify_regime": (lambda t: dec.classify_regime(PARAMS, t), T_GRID),
-    "decoherence.gamma_regime_approx[early]":
-        (lambda t: dec.gamma_regime_approx(PARAMS, t, "early"), T_GRID[:2]),
-    "decoherence.gamma_regime_approx[intermediate]":
-        (lambda t: dec.gamma_regime_approx(PARAMS, t, "intermediate"), T_GRID[3:5]),
-    "decoherence.gamma_regime_approx[late]":
-        (lambda t: dec.gamma_regime_approx(PARAMS, t, "late"), T_LATE),
-    "decoherence.phi_regime_approx[early]":
-        (lambda t: dec.phi_regime_approx(PARAMS, t, "early"), T_GRID[:2]),
-    "decoherence.phi_regime_approx[late]":
-        (lambda t: dec.phi_regime_approx(PARAMS, t, "late"), T_GRID[3:]),
     **{f"observables.{name}": (lambda t, fn=getattr(obs, name): fn(PARAMS, t), T_GRID)
        for name in obs.__all__ if name != "ObservableSnapshot"},
     **{f"observables.{name}": (lambda t, col=col: getattr(obs.snapshot(PARAMS, t), col), T_GRID)
