@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import math
 import sys
 import warnings
@@ -43,7 +42,8 @@ EXIT_VERIFY = 3
 EXIT_IO = 4
 
 FIG3_ALPHA = 150.0   # coupling for the fig3 parameter set: tau_vac = e^pi / Omega
-RHO_MAX_POINTS = 1001   # rho writes points^2 rows: ~1e6 rows, ~110 MB of CSV at the cap
+RHO_MAX_POINTS = 1001   # rho writes points^2 rows: ~1e6 rows, ~110 MB of CSV at the cap,
+                        # from a run that peaks at ~55 MB resident
 
 
 class UsageError(Exception):
@@ -81,36 +81,91 @@ _COLUMN_FORMATS = {"U": "%s", "i": "%d"}
 _BLOCK_ROWS = 1 << 14
 
 
+class _Table:
+    """Columns that broadcast to (outer rows, inner rows), written one CSV row
+    per pair, outer-major; 1-D columns make one outer row. A column of the
+    full shape is a cell; any other is a key, constant along one axis."""
+
+    def __init__(self, columns):
+        cols = [np.asarray(c) for c in columns]
+        self.columns = [c.reshape((1,) * (2 - c.ndim) + c.shape) for c in cols]
+        self.shape = np.broadcast_shapes(*(c.shape for c in self.columns))
+
+    def __len__(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+
 def write_csv(out, comments: list[str], header: list[str], rows, sigfigs: int) -> None:
     """Write a CSV to the path `out`, or to stdout when it is None. rows is a
-    structured array (see _table) or a list of rows. Each column has one printf
-    format: %s for text, %d for integers, %.{sigfigs-1}e for floats (which
-    writes nan and inf as such), applied a block of rows at a time."""
-    table = rows if isinstance(rows, np.ndarray) else np.rec.fromrecords(rows, names=header)
-    line = ",".join(_COLUMN_FORMATS.get(table.dtype[k].kind, f"%.{sigfigs - 1}e")
-                    for k in range(len(table.dtype))) + "\n"
+    _Table (see _table) or a list of rows. Each column has one printf format:
+    %s for text, %d for integers, %.{sigfigs-1}e for floats (which writes nan
+    and inf as such). Key columns are formatted once per value, into one
+    template per block of an outer row's lines that its cells fill."""
+    if isinstance(rows, _Table):
+        table = rows
+    else:
+        records = np.rec.fromrecords(rows, names=header)
+        table = _Table([records[name] for name in header])
+    n_outer, n_inner = table.shape
+    fmts = [_COLUMN_FORMATS.get(c.dtype.kind, f"%.{sigfigs - 1}e") for c in table.columns]
+    ends = [","] * (len(fmts) - 1) + ["\n"]
+    # outer keys from the first one on are written once per outer row, between the inner
+    # text before them (heads) and after them (tails); a later outer key is a cell
+    kinds = ["cell" if c.shape == table.shape else "outer" if c.shape[1] == 1 else "inner"
+             for c in table.columns]
+    first = kinds.index("outer") if "outer" in kinds else len(kinds)
+    last = next((k for k in range(first, len(kinds)) if kinds[k] != "outer"), len(kinds))
+    kinds[last:] = ["cell" if k == "outer" else k for k in kinds[last:]]
+    cells = [np.broadcast_to(c, table.shape) for c, k in zip(table.columns, kinds) if k == "cell"]
+
+    def texts(ks, n, axis):
+        """The text of columns ks on each of the n rows of an axis: a key's values,
+        each formatted once and escaped for the template, or a cell's format."""
+        if all(kinds[k] == "cell" for k in ks):
+            return ["".join(fmts[k] + ends[k] for k in ks)] * n
+        parts = []
+        for k in ks:
+            if kinds[k] == "cell":
+                parts.append([fmts[k] + ends[k]] * n)
+                continue
+            values = table.columns[k][:, 0] if axis == 0 else table.columns[k][0]
+            keys = [(fmts[k] % v).replace("%", "%%") + ends[k] for v in values.tolist()]
+            parts.append(keys if len(keys) == n else keys * n)
+        return ["".join(line) for line in zip(*parts)]
+
+    heads = texts(range(first), n_inner, 1)
+    tails = texts(range(last, len(kinds)), n_inner, 1)
+    glue = [t + h for t, h in zip(tails, heads[1:])]
+    outer = texts(range(first, last), n_outer, 0)
     head = "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w", encoding="utf-8")) as fh:
         fh.write(head)
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS].tolist()
-            fh.write((line * len(block)) % tuple(itertools.chain.from_iterable(block)))
+        for i, keys in enumerate(outer):
+            for start in range(0, n_inner, _BLOCK_ROWS):
+                stop = min(start + _BLOCK_ROWS, n_inner)
+                values = [None] * (len(cells) * (stop - start))
+                for k, cell in enumerate(cells):
+                    values[k::len(cells)] = cell[i, start:stop].tolist()
+                template = keys.join([heads[start], *glue[start:stop - 1], tails[stop - 1]])
+                fh.write(template % tuple(values))
 
 
-def _table(header: list[str], columns) -> np.ndarray:
-    """The columns (arrays, or scalars that repeat) as a structured array of
-    rows for write_csv. scan, figure and rho write only finite numbers: a
-    non-finite value is a DomainError that names its column."""
-    cols = np.broadcast_arrays(*(np.asarray(c) for c in columns))
-    for name, col in zip(header, cols):
+def _table(header: list[str], columns) -> _Table:
+    """The columns (arrays that broadcast to the (outer, inner) rows, or
+    scalars that repeat) as a _Table for write_csv. scan, figure and rho
+    write only finite numbers: a non-finite value is a DomainError that names
+    its column and its first row in the written order."""
+    table = _Table(columns)
+    for name, col in zip(header, table.columns):
         if col.dtype.kind == "f" and not np.all(np.isfinite(col)):
-            bad = np.flatnonzero(~np.isfinite(col))
+            flat = np.broadcast_to(col, table.shape).ravel()
+            bad = np.flatnonzero(~np.isfinite(flat))
             raise DomainError(
-                f"column {name} is not finite in {bad.size} of {col.size} rows "
-                f"(first: row {bad[0]}, value {col[bad[0]]}); the inputs overflow "
+                f"column {name} is not finite in {bad.size} of {flat.size} rows "
+                f"(first: row {bad[0]}, value {flat[bad[0]]}); the inputs overflow "
                 "double precision there")
-    return np.rec.fromarrays(cols, names=header)
+    return table
 
 
 def _time_grid(args) -> np.ndarray:
@@ -182,43 +237,43 @@ _FIG_ZETAS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 def _figure_rows(which: str, params: ModelParams, user_set: frozenset[str]):
     """Figure data as (header, columns, parameters used); each figure's
     standard parameters act as defaults that explicit config/CLI settings
-    override. fig1, fig2 and fig4 are outer grids: every Omega t for each
-    zeta or alpha in turn."""
+    override. The columns broadcast to (outer, inner) rows (see _Table):
+    fig1, fig2 and fig4 write every Omega t for each zeta or alpha in turn,
+    fig3 every p' for each (panel, p)."""
     taus = np.geomspace(1e-3, 1e6, 181)
     if which == "fig1":
         # vacuum vs thermal decoherence exponents as a function of zeta, T = 300 K
         p1 = params if "temperature_K" in user_set else replace(params, temperature=300.0)
         header = ["t_s", "t_omega", "zeta", "gamma_vac_pp", "gamma_th_pp"]
-        zeta, tau = (g.ravel() for g in np.meshgrid(_FIG_ZETAS, taus, indexing="ij"))
-        t = p1.seconds(tau)
-        return header, [t, tau, zeta, zeta * log_sqrt_one_plus_sq(tau),
+        zeta = np.array(_FIG_ZETAS)[:, None]
+        t = p1.seconds(taus)
+        return header, [t, taus, zeta, zeta * log_sqrt_one_plus_sq(taus),
                         zeta * log_sinhc(p1.thermal_x(t))], p1
     if which == "fig2":
         # vacuum suppression vs time and coupling at |p - p'| = 0.1 m0 c
         header = ["t_omega", "alpha", "exp_neg_gamma_vac_pp"]
         dp2 = (params.delta_p if "delta_p_over_m0c" in user_set else 0.1) ** 2
-        alpha, tau = (g.ravel() for g in np.meshgrid(_FIG_ALPHAS, taus, indexing="ij"))
-        return header, [tau, alpha, np.exp(-(coupling_scale(alpha) * dp2)
-                                           * log_sqrt_one_plus_sq(tau))], params
+        alpha = np.array(_FIG_ALPHAS)[:, None]
+        return header, [taus, alpha, np.exp(-(coupling_scale(alpha) * dp2)
+                                            * log_sqrt_one_plus_sq(taus))], params
     if which == "fig3":
         p3 = _fig3_params(params, user_set)
         packet = GaussianPacket.from_params(p3)
         times = np.array([0.0, oracle.fig3_time(p3)])
         grid = np.linspace(packet.p0 - 4.0 * packet.delta_p,
                            packet.p0 + 4.0 * packet.delta_p, 81)
-        n2 = grid.size ** 2
         header = ["t_label", "t_s", "p_over_m0c", "p_prime_over_m0c", "rho_abs_normalized"]
         panels = [np.abs(densmat.rho_p_matrix(grid, packet, DecoherenceFactors.at_time(p3, t)))
                   / packet.norm for t in times]
-        return header, [np.repeat(["initial", "3tau_vac"], n2), np.repeat(times, n2),
-                        np.tile(np.repeat(grid, grid.size), 2), np.tile(grid, 2 * grid.size),
-                        np.concatenate([m.ravel() for m in panels])], p3
+        return header, [np.repeat(["initial", "3tau_vac"], grid.size)[:, None],
+                        np.repeat(times, grid.size)[:, None], np.tile(grid, 2)[:, None], grid,
+                        np.concatenate(panels)], p3
     if which == "fig4":
         header = ["t_s", "t_omega", "alpha", "s_lin"]
-        alpha, tau = (g.ravel() for g in np.meshgrid(_FIG_ALPHAS, taus, indexing="ij"))
         s_lin = [observables.linear_entropy(replace(params, alpha=a), params.seconds(taus))
                  for a in _FIG_ALPHAS]
-        return header, [params.seconds(tau), tau, alpha, np.concatenate(s_lin)], params
+        return header, [params.seconds(taus), taus, np.array(_FIG_ALPHAS)[:, None],
+                        np.stack(s_lin)], params
     raise DomainError(f"unknown figure id {which!r} (expected fig1|fig2|fig3|fig4)")
 
 
@@ -296,12 +351,12 @@ def cmd_timescales(args) -> int:
     return EXIT_OK
 
 
-def verification_reports(params: ModelParams, n_points: int = 25):
-    """The standard verification sweep: log grid Omega t in [1e-3, 1e6] at the
+def verification_reports(params: ModelParams):
+    """The standard verification sweep: 25 log-spaced Omega t in [1e-3, 1e6] at the
     caller's parameters, plus the transform oracle at the fixed fig3 reference
     set (the transform grid resolution is tuned to that set; the frequency
     oracles are what track the caller's configuration)."""
-    t_grid = params.seconds(np.geomspace(1e-3, 1e6, n_points))
+    t_grid = params.seconds(np.geomspace(1e-3, 1e6, 25))
     # the fixed set is not the run's packet: its DipoleValidityWarning says nothing of the run
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DipoleValidityWarning)
@@ -354,8 +409,8 @@ def cmd_rho(args) -> int:
         matrix = densmat.rho_r_matrix(grid, packet, factors, densmat.MAX_PHASE)
         a_name, b_name = "q_mc_over_hbar", "q_prime_mc_over_hbar"
     header = ["t_s", a_name, b_name, "re", "im", "abs"]
-    table = _table(header, [args.t_s, np.repeat(grid, n), np.tile(grid, n),
-                            matrix.real.ravel(), matrix.imag.ravel(), np.abs(matrix).ravel()])
+    table = _table(header, [args.t_s, grid[:, None], grid,
+                            matrix.real, matrix.imag, np.abs(matrix)])
     comments = [f"qed-decoherence rho --rep {args.rep} --t-s {args.t_s!r}",
                 "momentum in m0 c, displacement in hbar/(m0 c)",
                 *cfg.provenance_lines(args.resolved)]

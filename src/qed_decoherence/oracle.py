@@ -194,7 +194,7 @@ def quad_field_energy(tau: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadRe
         "cos", lambda wmax: 2.0 * math.exp(-wmax), spec)
 
 
-def quad_photon_continuum(tau: float, v0: float = 0.0, n_angular: int = 40,
+def quad_photon_continuum(tau: float, v0: float = 0.0,
                           spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
     """Angular + frequency continuum sum of the per-mode occupation.
 
@@ -206,7 +206,7 @@ def quad_photon_continuum(tau: float, v0: float = 0.0, n_angular: int = 40,
     """
     if not 0.0 <= v0 < 1.0:
         raise DomainError("v0 must be in [0, 1)")
-    mu, wts = np.polynomial.legendre.leggauss(n_angular)
+    mu, wts = np.polynomial.legendre.leggauss(40)
     total = 0.0
     err = 0.0
     panels = 0
@@ -242,12 +242,10 @@ def fourier_rho_r(packet: GaussianPacket, factors: DecoherenceFactors,
 
 
 def default_transform_grids(packet: GaussianPacket, factors: DecoherenceFactors,
-                            n_p: int = 1024, n_q: int = 201,
-                            p_halfspan_widths: float = 6.0) -> tuple[np.ndarray, np.ndarray]:
-    """Grids per the oracle policy: p symmetric about p0 spanning >= 8 delta_p
-    total (default 12), q centered on <q>_t within the packet's +-6 delta_r(t)."""
-    p_grid = np.linspace(packet.p0 - p_halfspan_widths * packet.delta_p,
-                         packet.p0 + p_halfspan_widths * packet.delta_p, n_p)
+                            n_p: int = 1024, n_q: int = 201) -> tuple[np.ndarray, np.ndarray]:
+    """Grids per the oracle policy: p symmetric about p0 spanning 12 delta_p
+    in total, q centered on <q>_t within the packet's +-6 delta_r(t)."""
+    p_grid = np.linspace(packet.p0 - 6.0 * packet.delta_p, packet.p0 + 6.0 * packet.delta_p, n_p)
     center = densmat.mean_displacement(packet, factors)
     half = 10.0 * packet.d * math.sqrt(densmat.z_factor(packet, factors))  # = 5.77 delta_r(t)
     q_grid = np.linspace(center - half, center + half, n_q)
@@ -255,23 +253,22 @@ def default_transform_grids(packet: GaussianPacket, factors: DecoherenceFactors,
 
 
 def transform_consistency(packet: GaussianPacket, factors: DecoherenceFactors,
-                          n_p: int = 1024, n_q: int = 201,
-                          stability_tol: float = 1e-7) -> dict:
+                          n_p: int = 1024) -> dict:
     """Compare the transform oracle against the closed-form rho_r on a grid.
 
     Returns peak-relative max deviation plus the grid-doubling stability; the
     stability detector raises GridResolutionError when the quadrature grid is
-    underresolved.
+    underresolved: the two grids' results differ by more than 1e-7 of the peak.
     """
-    p_grid, q_grid = default_transform_grids(packet, factors, n_p=n_p, n_q=n_q)
+    p_grid, q_grid = default_transform_grids(packet, factors, n_p=n_p)
     numeric = fourier_rho_r(packet, factors, p_grid, q_grid)
     p2 = np.linspace(p_grid[0], p_grid[-1], 2 * n_p)
     numeric2 = fourier_rho_r(packet, factors, p2, q_grid)
     peak = float(np.max(np.abs(numeric2)))
     stability = float(np.max(np.abs(numeric2 - numeric))) / peak
-    if stability > stability_tol:
+    if stability > 1e-7:
         raise GridResolutionError(
-            f"transform unstable under grid doubling: {stability:.3g} > {stability_tol:g} "
+            f"transform unstable under grid doubling: {stability:.3g} > 1e-07 "
             f"(n_p = {n_p}); refine the momentum grid"
         )
     closed = densmat.rho_r_matrix(q_grid, packet, factors)

@@ -430,3 +430,97 @@ class TestExitCodes:
     def test_io(self):
         assert run_cli("scan", "--out", "/nonexistent-dir/x.csv",
                        "--t-points", "2") == cli.EXIT_IO
+
+
+def _row_formatted(comments, header, table, sigfigs):
+    """The CSV of a _Table formatted one flattened row at a time, each value by
+    the printf format of its column's dtype kind."""
+    cols = [np.broadcast_to(c, table.shape).ravel() for c in table.columns]
+    line = ",".join({"U": "%s", "i": "%d"}.get(c.dtype.kind, f"%.{sigfigs - 1}e")
+                    for c in cols) + "\n"
+    return ("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
+            + "".join(line % row for row in zip(*(c.tolist() for c in cols))))
+
+
+class TestCsvWriter:
+    """write_csv formats each key value once; the bytes are those of row formatting."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen, real = [], cli.write_csv
+
+        def spy(out, comments, header, rows, sigfigs):
+            seen.append((out, comments, header, rows, sigfigs))
+            real(out, comments, header, rows, sigfigs)
+
+        monkeypatch.setattr(cli, "write_csv", spy)
+        return seen
+
+    @pytest.mark.parametrize("to", ["file", "stdout"])
+    @pytest.mark.parametrize("sigfigs", ["2", "6", "12", "17"])
+    @pytest.mark.parametrize("argv", [
+        ("rho", "--rep", "p", "--t-s", "1e-19"),
+        ("rho", "--rep", "r", "--t-s", "1e-16"),
+        ("rho", "--rep", "p", "--t-s", "0"),   # t = 0: every im is zero
+        ("figure", "fig1"), ("figure", "fig2"), ("figure", "fig3"), ("figure", "fig4"),
+        ("scan", "--t-points", "9"),
+    ])
+    def test_same_bytes_as_row_formatting(self, argv, sigfigs, to, calls, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        dest = ("--out", str(out)) if to == "file" else ()
+        assert run_cli(*argv, "--sigfigs", sigfigs, *dest) == 0
+        [(_, comments, header, table, _)] = calls
+        text = out.read_text(encoding="utf-8") if to == "file" else capsys.readouterr().out
+        assert text == _row_formatted(comments, header, table, int(sigfigs))
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--t-points", "9"), ("figure", "fig1"), ("rho", "--rep", "p", "--t-s", "1e-19")])
+    def test_blocks_that_split_an_outer_row(self, argv, calls, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+        out = tmp_path / "x.csv"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        [(_, comments, header, table, sigfigs)] = calls
+        assert out.read_text(encoding="utf-8") == _row_formatted(comments, header, table, sigfigs)
+
+    def test_signed_zeros_text_keys_and_a_late_outer_key(self, capsys):
+        # -0.0 in keys and cells, a key with a '%' in it, and an outer key after a
+        # cell (written as a cell), across more outer rows than one
+        z = np.array([-0.0, 0.0, -1.5])
+        header = ["label", "a", "b", "re", "k", "im"]
+        table = cli._table(header, [np.array(["x%s", "50%"])[:, None], z[:2, None], z,
+                                    np.outer([1.0, -1.0], z), np.array([[3.0], [-0.0]]),
+                                    np.outer([-0.0, 2.0], z)])
+        cli.write_csv(None, ["c"], header, table, 3)
+        text = capsys.readouterr().out
+        assert text == _row_formatted(["c"], header, table, 3)
+        assert "x%s,-0.00e+00,-0.00e+00,-0.00e+00,3.00e+00,0.00e+00\n" in text
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--t-points", "7"), ("figure", "fig1"), ("figure", "fig2"),
+        ("figure", "fig3"), ("figure", "fig4"), ("rho", "--rep", "p", "--t-s", "1e-19"),
+        ("rho", "--rep", "r", "--t-s", "1e-19", "--points", "5"), ("timescales",), ("verify",),
+    ])
+    def test_len_rows_is_the_data_line_count(self, argv, calls, tmp_path):
+        # perfbench's tracer binds write_csv's `out` and `rows` by name and
+        # counts len(rows) as the rows written
+        out = tmp_path / "x.csv"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        [(path, _, _, rows, _)] = calls
+        assert path == str(out)
+        data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+        assert len(rows) == len(data)
+
+    def test_domain_error_writes_nothing(self, calls, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with np.errstate(all="ignore"):
+            assert run_cli("rho", "--rep", "r", "--t-s", "1e140", "--points", "3",
+                           "--out", str(out)) == cli.EXIT_DOMAIN
+        assert ("column q_mc_over_hbar is not finite in 9 of 9 rows (first: row 0"
+                in capsys.readouterr().err)
+        assert calls == [] and not out.exists()
+
+    def test_non_finite_inner_key_counts_rows_in_written_order(self):
+        with pytest.raises(DomainError, match=r"column b is not finite in 4 of 6 rows "
+                                              r"\(first: row 1, value inf\)"):
+            cli._table(["a", "b", "c"], [np.arange(2.0)[:, None], [0.0, np.inf, np.inf],
+                                         np.ones((2, 3))])
