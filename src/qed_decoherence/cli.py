@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 import warnings
@@ -43,7 +44,7 @@ EXIT_IO = 4
 
 FIG3_ALPHA = 150.0   # coupling for the fig3 parameter set: tau_vac = e^pi / Omega
 RHO_MAX_POINTS = 1001   # rho writes points^2 rows: ~1e6 rows, ~110 MB of CSV at the cap,
-                        # from a run that peaks at ~55 MB resident
+                        # from a run that peaks at ~54 MB resident, set by the CSV writing
 
 
 class UsageError(Exception):
@@ -474,10 +475,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser: parse_args leaves it as it was, so main reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -23,7 +23,10 @@ On a 1-D grid x both representations have the factored form
 
 with M real and symmetric and the phase separable (theta = Phi p^2 - r0 p in
 the momentum representation). `rho_p_matrix` and `rho_r_matrix` build it
-with N^2 real exponentials, evaluated in place, and N complex ones. M is
+from N complex exponentials for v and N^2 real ones for M, a block of rows at
+a time: each block's slice of M is evaluated in one reused buffer sized for
+the L2 cache and multiplied into its rows of v_i conj(v_j), so the result is
+the only N x N array, and its bits are those of a whole-matrix build. M is
 built from -g (x_i - x_j)^2 as it stands: splitting it into
 exp(-g x_i^2) exp(2 g x_i x_j) exp(-g x_j^2) would overflow once g x^2
 passes ~709 (late times, large Gamma) and cancel catastrophically before
@@ -106,6 +109,15 @@ def mean_displacement(packet: GaussianPacket, factors: DecoherenceFactors) -> fl
 # digits; |rho| does not depend on theta, so only callers that write re and im pass it.
 MAX_PHASE = 1.0 / np.finfo(float).eps
 
+# Bytes of one row block of a grid build: its float slice of M and its complex rows of
+# the result, 24 bytes a column, sized to stay in a per-core L2 cache (1-2 MiB).
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of an (n, n) grid build, at least one."""
+    return max(1, _BLOCK_BYTES // (24 * n))
+
 
 def _factored_grid(x: np.ndarray, norm: float, a: float, c: float, g: float,
                    phase2: float, phase1: float, max_phase: float) -> np.ndarray:
@@ -117,23 +129,35 @@ def _factored_grid(x: np.ndarray, norm: float, a: float, c: float, g: float,
     cancels in v_i conj(v_j), and the rest grows with x - c rather than with
     x, so a packet far from the origin (a drifted coordinate grid) costs no
     phase accuracy. The result is Hermitian to rounding.
+
+    Filled _block_rows(N) rows at a time (see the module docstring); every
+    element gets the same operations whatever the block size, so the same bits.
     """
     u = x - c
     env = a * u**2
-    m = np.subtract.outer(x, x)
-    np.square(m, out=m)
-    m *= g
-    np.subtract(-env[:, None], m, out=m)
-    m -= env[None, :]
-    np.exp(m, out=m)
     theta = u * (phase2 * u + (2.0 * phase2 * c + phase1))
     if np.max(np.abs(theta)) > max_phase:
         raise DomainError(
             f"the phase of rho reaches {np.max(np.abs(theta)):.3g} rad on this grid; past "
             f"{max_phase:.3g} rad its rounding alone exceeds 1 rad, so re and im carry no digits")
     w = math.sqrt(norm) * np.exp(1j * theta)
-    out = np.multiply.outer(w, w.conj())
-    out *= m
+    w_conj = w.conj()
+    n = len(x)
+    out = np.empty((n, n), dtype=complex)
+    rows = _block_rows(n)
+    buf = np.empty((min(rows, n), n))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        m = buf[:hi - lo]
+        np.subtract.outer(x[lo:hi], x, out=m)
+        np.square(m, out=m)
+        m *= g
+        np.subtract(-env[lo:hi, None], m, out=m)
+        m -= env[None, :]
+        np.exp(m, out=m)
+        o = out[lo:hi]
+        np.multiply.outer(w[lo:hi], w_conj, out=o)
+        o *= m
     # populations are real; the complex products leave ~1e-17 rounding there
     np.fill_diagonal(out.imag, 0.0)
     return out

@@ -412,6 +412,33 @@ class TestExitCodes:
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("domain error:")
 
+    def test_one_parser_per_process_forgets_each_call(self, monkeypatch, capsys):
+        # main reuses its parser: a usage error, then two commands and a repeat
+        # that leaves the previous call's options at their defaults, must each
+        # print what a fresh interpreter prints
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        for argv in (("rho", "--points"),
+                     ("rho", "--rep", "r", "--t-s", "1e-19", "--points", "3", "--sigfigs", "6"),
+                     ("scan", "--t-points", "4", "--t-scale", "linear"),
+                     ("rho", "--t-s", "1e-19", "--points", "2")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = cli.main(list(argv))
+            got = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-W", "ignore", "-m", "qed_decoherence.cli", *argv],
+                capture_output=True, text=True, env=env, check=False)
+            assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == cli.EXIT_OK and len(got.out.splitlines()) > 4
+        assert len(built) == 1
+        cli._parser.cache_clear()
+
     @pytest.mark.parametrize("flag, value", [
         ("--points", "0"), ("--points", "1"), ("--points", "-1"),
         ("--points", str(cli.RHO_MAX_POINTS + 1)),

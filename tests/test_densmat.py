@@ -1,11 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qed_decoherence import densmat
 from qed_decoherence.decoherence import DecoherenceFactors
 from qed_decoherence.densmat import (
     MAX_PHASE,
@@ -250,6 +252,95 @@ class TestFactoredGrids:
             rho_p_matrix(grid, pk, f, MAX_PHASE)
         with pytest.raises(DomainError, match="phase of rho"):
             rho_r_matrix(np.linspace(-1.0, 1.0, 5), pk, f, MAX_PHASE)
+
+
+def _unblocked_grid(x, norm, a, c, g, phase2, phase1, max_phase):
+    """The whole-matrix build of _factored_grid: all of M as one (N, N) float
+    array, then the complex outer product of v times it."""
+    u = x - c
+    env = a * u**2
+    m = np.subtract.outer(x, x)
+    np.square(m, out=m)
+    m *= g
+    np.subtract(-env[:, None], m, out=m)
+    m -= env[None, :]
+    np.exp(m, out=m)
+    theta = u * (phase2 * u + (2.0 * phase2 * c + phase1))
+    assert np.max(np.abs(theta)) <= max_phase
+    w = math.sqrt(norm) * np.exp(1j * theta)
+    out = np.multiply.outer(w, w.conj())
+    out *= m
+    np.fill_diagonal(out.imag, 0.0)
+    return out
+
+
+# the largest N whose grid is built as one block of rows; BLOCK + 1 takes two
+BLOCK = math.isqrt(densmat._BLOCK_BYTES // 24)
+
+
+class TestBlockedGrid:
+    """The grids are built a block of rows at a time; every element must carry
+    the bits of the whole-matrix build."""
+
+    def test_block_boundary(self):
+        assert densmat._block_rows(BLOCK) >= BLOCK > densmat._block_rows(BLOCK + 1)
+        assert densmat._block_rows(1024) < 1024
+
+    @staticmethod
+    def _cases():
+        stationary = packet_1d(p0=0.0, dp=0.1)
+        drifting = packet_1d(p0=0.05, dp=0.1, r0=3.0)
+        gamma = 1e7 / (12 * 0.1) ** 2     # Gamma (12 dp)^2 = 1e7
+        params = make_params()
+        return {
+            "stationary t=0": (stationary, factors_at(params, 0.0)),
+            "drifting t=5": (drifting, factors_at(params, 5.0)),
+            "drifting large gamma": (drifting, DecoherenceFactors(
+                t=1e6, gamma_vac=gamma, gamma_th=0.0, gamma=gamma, phi=-3e4)),
+        }
+
+    @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 201, 1024])
+    @pytest.mark.parametrize("case", ["stationary t=0", "drifting t=5", "drifting large gamma"])
+    def test_bits_equal_whole_matrix_build(self, monkeypatch, n, case):
+        pk, f = self._cases()[case]
+        calls = []
+        build = densmat._factored_grid
+
+        def recording(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(densmat, "_factored_grid", recording)
+        p_grid = np.linspace(pk.p0 - 6 * pk.delta_p, pk.p0 + 6 * pk.delta_p, n)
+        q_grid = mean_displacement(pk, f) + np.linspace(-6.0, 6.0, n) * width_t(pk, f)
+        got = [rho_p_matrix(p_grid, pk, f, MAX_PHASE), rho_r_matrix(q_grid, pk, f)]
+        for m, args in zip(got, calls, strict=True):
+            assert np.array_equal(m.view(np.uint64), _unblocked_grid(*args).view(np.uint64))
+
+    def test_peak_memory_is_the_result(self):
+        pk = packet_1d(p0=0.05, r0=3.0)
+        f = factors_at(make_params(), 5.0)
+        grid = np.linspace(pk.p0 - 6 * pk.delta_p, pk.p0 + 6 * pk.delta_p, 1024)
+        tracemalloc.start()
+        try:
+            m = rho_p_matrix(grid, pk, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * m.nbytes
+
+    def test_phase_bound_fails_before_the_grid_is_allocated(self):
+        pk = packet_1d(p0=0.1)
+        f = DecoherenceFactors(t=1e20, gamma_vac=50.0, gamma_th=0.0, gamma=50.0, phi=-1e20)
+        grid = np.linspace(0.1 - 4 * pk.delta_p, 0.1 + 4 * pk.delta_p, 1024)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="phase of rho"):
+                rho_p_matrix(grid, pk, f, MAX_PHASE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8
 
 
 class TestFigureThreeProperty:

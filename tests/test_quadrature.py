@@ -8,6 +8,7 @@ from qed_decoherence.oracle import small_omega_series
 from qed_decoherence.quadrature import (
     QuadratureError,
     QuadratureSpec,
+    QuadResult,
     adaptive,
     kronrod_panel,
     oscillatory,
@@ -145,6 +146,100 @@ class TestOscillatory:
     def test_unknown_kind_rejected(self):
         with pytest.raises(QuadratureError):
             oscillatory(lambda w: np.exp(-w), 100.0, 0.0, 50.0, "tan", SPEC)
+
+
+def _one_panel_per_step(g, tau, a, b, kind, spec):
+    """oscillatory as a loop that evaluates one half period per kronrod_panel call."""
+    trig = {"cos": np.cos, "sin": np.sin}[kind]
+    f = lambda w: g(w) * trig(w * tau)
+    h = math.pi / tau
+    if (b - a) <= 2.0 * h:
+        return adaptive(f, a, b, spec)
+    sums = []
+    total = 0.0
+    err_last = math.inf
+    extrapolated = prev_extrap = None
+    stable = 0
+    lo = a
+    for k in range(spec.max_cycles):
+        hi = min(lo + h, b)
+        v, e = kronrod_panel(f, lo, hi)
+        total += v
+        sums.append(total)
+        lo = hi
+        if len(sums) >= 8 and k % 2 == 1:
+            est, err = wynn_epsilon(sums[-64:])
+            if prev_extrap is not None:
+                drift = abs(est - prev_extrap)
+                scale = max(abs(est), spec.abs_tol)
+                if (drift <= max(spec.abs_tol, 0.1 * spec.rel_tol * scale)
+                        and err <= max(spec.abs_tol, spec.rel_tol * scale)):
+                    stable += 1
+                    if stable >= 2:
+                        return QuadResult(est, err + drift, k + 1)
+                else:
+                    stable = 0
+            prev_extrap = est
+            extrapolated, err_last = est, err
+        if lo >= b:
+            return QuadResult(total, abs(v) + e, k + 1)
+    if extrapolated is not None and err_last < 1e-6 * max(abs(extrapolated), 1.0):
+        return QuadResult(extrapolated, err_last, spec.max_cycles, converged=False)
+    raise QuadratureError(f"{spec.max_cycles} cycles")
+
+
+def _bits(r):
+    return (r.value.hex(), r.error.hex(), r.panels, r.converged)
+
+
+# the oracle's envelopes: Gamma_vac, photon number and phase; cloud energy; thermal
+ENVELOPES = {
+    "exp/w": lambda w: np.exp(-w) / w,
+    "exp": lambda w: np.exp(-w),
+    "thermal": lambda w: np.exp(-w) * (1.0 / np.tanh(18.5 * w) - 1.0) / w,
+}
+# tau of the frequency oracles' bit-identity set
+ORACLE_TAUS = sorted({*np.geomspace(1e-3, 1e6, 29).tolist(), 0.37, 3.0, 30.0, 1e3, 1e4})
+
+
+class TestOscillatoryBlocks:
+    """oscillatory evaluates half periods a block at a time; value, error,
+    panels and convergence must be those of one panel per call."""
+
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
+    def test_oracle_inputs(self, envelope, kind):
+        g = ENVELOPES[envelope]
+        for tau in ORACLE_TAUS:
+            a = min(1.0, 20.0 * math.pi / tau)
+            got = oscillatory(g, tau, a, 50.0, kind, SPEC)
+            assert _bits(got) == _bits(_one_panel_per_step(g, tau, a, 50.0, kind, SPEC)), tau
+
+    @pytest.mark.parametrize("half_periods", [7.5, 16.0, 16.5, 37.3])
+    def test_interval_runs_out_first(self, half_periods):
+        # a rough envelope that the epsilon table never settles on
+        tau = 100.0
+        g = lambda w: np.abs(np.sin(7.3 * w * tau))
+        b = 1.0 + half_periods * math.pi / tau
+        got = oscillatory(g, tau, 1.0, b, "cos", SPEC)
+        assert got.panels == math.ceil(half_periods)
+        assert _bits(got) == _bits(_one_panel_per_step(g, tau, 1.0, b, "cos", SPEC))
+
+    @pytest.mark.parametrize("max_cycles", [9, 16, 17])
+    def test_cycle_budget_runs_out_first(self, max_cycles):
+        spec = QuadratureSpec(max_cycles=max_cycles)
+        g = np.sqrt
+        got = oscillatory(g, 100.0, 1e-3, 50.0, "sin", spec)
+        assert (got.converged, got.panels) == (False, max_cycles)
+        assert _bits(got) == _bits(_one_panel_per_step(g, 100.0, 1e-3, 50.0, "sin", spec))
+
+    def test_unconverged_error_after_the_cycle_budget(self):
+        spec = QuadratureSpec(max_cycles=37)
+        g = lambda w: np.abs(np.sin(730.0 * w))
+        with pytest.raises(QuadratureError):
+            _one_panel_per_step(g, 100.0, 1.0, 50.0, "sin", spec)
+        with pytest.raises(QuadratureError, match="did not stabilize after 37 cycles"):
+            oscillatory(g, 100.0, 1.0, 50.0, "sin", spec)
 
 
 class TestSmallOmegaSeries:
