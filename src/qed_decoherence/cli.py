@@ -202,10 +202,10 @@ def cmd_scan(args) -> int:
     t = _time_grid(args)
     s = observables.snapshot(params, t)
     f = s.factors
-    p_bar = params.p0_mag
+    p_bar = abs(params.p0)
     columns = [
         t, f.t, f.gamma_vac, f.gamma_th, f.gamma, f.phi,
-        s.delta_p_t, s.l_p, s.s_lin, s.mean_q[:, 0], s.mean_v[:, 0],
+        s.delta_p_t, s.l_p, s.s_lin, s.mean_q, s.mean_v,
         s.delta_m / params.mass0, s.delta_r_t, s.delta_r_free, s.l_r,
         field.mean_photon_number(params, p_bar, t),
         field.mean_field_energy(params, p_bar, t),
@@ -224,7 +224,7 @@ def _fig3_params(params: ModelParams, user_set: frozenset[str] = frozenset()) ->
     if "alpha" not in user_set:
         overrides["alpha"] = FIG3_ALPHA
     if "p0_over_m0c" not in user_set:
-        overrides["p0"] = (0.0, 0.0, 0.0)
+        overrides["p0"] = 0.0
         overrides["v0"] = None
     if "delta_p_over_m0c" not in user_set:
         overrides["delta_p"] = 0.1

@@ -89,7 +89,7 @@ def build_params(resolved: dict[str, float | None]) -> ModelParams:
         omega_cut=resolved["omega_cut_rad_s"],
         temperature=resolved["temperature_K"],
         mass0=resolved["mass0_kg"],
-        p0=(resolved["p0_over_m0c"], 0.0, 0.0),
+        p0=resolved["p0_over_m0c"],
         delta_p=resolved["delta_p_over_m0c"],
         v0=resolved["v0_over_c"],
     )

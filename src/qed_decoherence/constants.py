@@ -8,7 +8,6 @@ from __future__ import annotations
 
 # Exact by SI definition (2019 redefinition)
 SPEED_OF_LIGHT = 299_792_458.0          # c, m/s
-PLANCK_H = 6.626_070_15e-34             # h, J s
 BOLTZMANN = 1.380_649e-23               # k_B, J/K
 
 # Derived / measured
@@ -18,7 +17,6 @@ FINE_STRUCTURE = 7.297_352_5693e-3      # e^2 / hbar c, dimensionless
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "PLANCK_H",
     "BOLTZMANN",
     "HBAR",
     "ELECTRON_MASS",

@@ -68,8 +68,8 @@ class GaussianPacket:
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "GaussianPacket":
-        """The packet along x, the axis of ModelParams.p0 and r0."""
-        return cls(p0=params.p0[0], delta_p=params.delta_p, r0=params.r0_internal()[0])
+        """The packet of ModelParams, along its p0 and r0 axis."""
+        return cls(p0=params.p0, delta_p=params.delta_p, r0=params.r0_internal())
 
     @property
     def norm(self) -> float:

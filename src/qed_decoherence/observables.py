@@ -7,8 +7,9 @@ one factor bundle; linear_entropy and mass_shift are also exposed alone.
 Unit conventions at this API: time in seconds in, SI out for dimensionful
 quantities (meters, m/s, m/s^2, kg, J), momentum widths in m0 c (they are
 ratios of the configured inputs), entropy and mass ratio dimensionless. Time
-is a scalar or a 1-D array of T times; results are scalars or (T,) columns,
-and 3-vectors (3,) or (T, 3).
+is a scalar or a 1-D array of T times; results are scalars or (T,) columns.
+Mean position, velocity and acceleration are components along the packet
+axis, the axis of ModelParams.p0, and carry its sign.
 
 The coherence-length / width / entropy identities are exact by construction:
 everything is derived from the single ratio 1/sqrt(1 + 8 dp^2 Gamma / 3), so
@@ -83,17 +84,14 @@ def mass_shift(params: ModelParams, t_seconds):
 
 @dataclass(frozen=True)
 class ObservableSnapshot:
-    """Everything at one time, or as columns over a time grid: scalars become
-    (T,) arrays and 3-vectors (T, 3), with their magnitudes as (T,)."""
+    """Everything at one time, or as (T,) columns over a time grid."""
 
     t_seconds: float | np.ndarray
     factors: DecoherenceFactors
     delta_p_t: float | np.ndarray      # m0 c; constant (no spreading in the pointer basis)
     l_p: float | np.ndarray            # m0 c; delta_p/sqrt(1 + 8 dp^2 Gamma/3)
-    mean_q: np.ndarray                 # m; -2 p0 Phi(t) hbar
-    mean_q_mag: float | np.ndarray
-    mean_v: np.ndarray                 # m/s; (p0/m0)[1 - delta_m(t)/m0], d<q>/dt exactly
-    mean_v_mag: float | np.ndarray
+    mean_q: float | np.ndarray         # m; -2 p0 Phi(t) hbar
+    mean_v: float | np.ndarray         # m/s; (p0/m0)[1 - delta_m(t)/m0], d<q>/dt exactly
     mass_t: float | np.ndarray         # kg; m0 + delta_m(t)
     delta_m: float | np.ndarray        # kg; mass_shift
     inv_mass_avg: float | np.ndarray   # 1/kg; -2 hbar Phi(t)/t, 1/m0 at t = 0
@@ -101,8 +99,7 @@ class ObservableSnapshot:
     delta_r_free: float | np.ndarray   # m; dr sqrt(1 + dp^2 t^2/(dr^2 m0^2))
     l_r: float | np.ndarray            # m; delta_r(t) l_p/delta_p, below delta_r_free at alpha > 0
     s_lin: float | np.ndarray          # linear_entropy
-    accel: np.ndarray                  # m/s^2; d<qdot>/dt, shape 2 tau/(1+tau^2)^2
-    accel_mag: float | np.ndarray
+    accel: float | np.ndarray          # m/s^2; d<qdot>/dt, shape 2 tau/(1+tau^2)^2
     # W-scale estimate alpha hbar <qddot>^2/c^2 with its constant set to 1: the
     # alpha^3 scaling at fixed Omega t is what rules radiation out as the
     # vacuum decoherence mechanism
@@ -116,10 +113,8 @@ def snapshot(params: ModelParams, t_seconds) -> ObservableSnapshot:
     ratio = _coherence_ratio(params, f.gamma)
     inv_mass_ratio = _inv_mass_avg_ratio(params, f.t)
     shift_ratio = _mass_shift_ratio(params, f.t)
-    q = np.multiply.outer(-2.0 * f.phi, params.p0) * HBAR / (params.mass0 * SPEED_OF_LIGHT)
-    v = np.multiply.outer(1.0 - shift_ratio, params.p0) * SPEED_OF_LIGHT
     slope = -2.0 * coupling_scale(params.alpha) * params.epsilon * lorentz_weight_slope(f.t)
-    a = np.multiply.outer(slope, params.p0) * params.omega_cut * SPEED_OF_LIGHT
+    a = slope * params.p0 * params.omega_cut * SPEED_OF_LIGHT
     width = _width(params, f.t, inv_mass_ratio, f.gamma)
     shift = params.mass0 * shift_ratio
     return ObservableSnapshot(
@@ -127,10 +122,8 @@ def snapshot(params: ModelParams, t_seconds) -> ObservableSnapshot:
         factors=f,
         delta_p_t=np.full(np.shape(f.t), params.delta_p)[()],
         l_p=params.delta_p * ratio,
-        mean_q=q,
-        mean_q_mag=np.linalg.norm(q, axis=-1),
-        mean_v=v,
-        mean_v_mag=np.linalg.norm(v, axis=-1),
+        mean_q=-2.0 * f.phi * params.p0 * HBAR / (params.mass0 * SPEED_OF_LIGHT),
+        mean_v=(1.0 - shift_ratio) * params.p0 * SPEED_OF_LIGHT,
         mass_t=params.mass0 + shift,
         delta_m=shift,
         inv_mass_avg=inv_mass_ratio / params.mass0,
@@ -139,6 +132,5 @@ def snapshot(params: ModelParams, t_seconds) -> ObservableSnapshot:
         l_r=width * ratio,
         s_lin=1.0 - ratio,
         accel=a,
-        accel_mag=np.linalg.norm(a, axis=-1),
-        brems_power=params.alpha * HBAR * np.sum(a * a, axis=-1) / SPEED_OF_LIGHT**2,
+        brems_power=params.alpha * HBAR * (a * a) / SPEED_OF_LIGHT**2,
     )

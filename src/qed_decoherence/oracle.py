@@ -86,7 +86,7 @@ def small_omega_series(kind: str, ell: float, tau: float, theta: float = math.in
 
 
 def _frequency_integral(tau: float, theta: float, kind: str | None, combined, envelope,
-                        trig: str, tail_bound, spec: QuadratureSpec, smooth=None) -> QuadResult:
+                        trig: str, tail_bound, smooth=None) -> QuadResult:
     """integral_0^wmax dw combined(w), combined = smooth - envelope * trig(w tau): the
     one split policy of every frequency oracle.
 
@@ -103,6 +103,7 @@ def _frequency_integral(tau: float, theta: float, kind: str | None, combined, en
     """
     if tau <= 0.0:
         raise DomainError("oracle quadratures need t > 0")
+    spec = DEFAULT_SPEC
     wmax = spec.cutoff_multiple
     fixed = (1.0, 5.0, 20.0)    # the scales of e^-w
     if kind is None:
@@ -145,17 +146,17 @@ def _omc_kernel(tau: float, weight) -> tuple:
             lambda wmax: 2.0 * float(weight(wmax)) * math.exp(-wmax) / wmax)
 
 
-def quad_gamma_vac(tau: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
+def quad_gamma_vac(tau: float) -> QuadResult:
     """integral dw e^-w (1-cos w tau)/w; closed form ln sqrt(1 + tau^2)."""
-    return _frequency_integral(tau, math.inf, "vac", *_omc_kernel(tau, lambda w: 1.0), spec)
+    return _frequency_integral(tau, math.inf, "vac", *_omc_kernel(tau, lambda w: 1.0))
 
 
-def quad_photon(tau: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
+def quad_photon(tau: float) -> QuadResult:
     """Same frequency integral as the vacuum factor; closed form ln(1 + tau^2)/2."""
-    return _frequency_integral(tau, math.inf, "photon", *_omc_kernel(tau, lambda w: 1.0), spec)
+    return _frequency_integral(tau, math.inf, "photon", *_omc_kernel(tau, lambda w: 1.0))
 
 
-def quad_gamma_th(tau: float, theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
+def quad_gamma_th(tau: float, theta: float) -> QuadResult:
     """integral dw e^-w (coth(theta w/2) - 1)(1-cos w tau)/w, the full thermal
     integrand without the k_B T << hbar Omega simplification; compared against
     ln[sinh(x)/x] at x = pi tau / theta which is only that limit."""
@@ -164,38 +165,37 @@ def quad_gamma_th(tau: float, theta: float, spec: QuadratureSpec = DEFAULT_SPEC)
     if math.isinf(theta):
         return QuadResult(0.0, 0.0, 0)
     weight = lambda w: _cothm1(0.5 * theta * w)
-    return _frequency_integral(tau, theta, "thermal", *_omc_kernel(tau, weight), spec)
+    return _frequency_integral(tau, theta, "thermal", *_omc_kernel(tau, weight))
 
 
-def quad_gamma_total(tau: float, theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
+def quad_gamma_total(tau: float, theta: float) -> QuadResult:
     """Full spectral-density reconstruction: integral of J(w)(1-cos w tau)
     coth(theta w/2)/w^2 with the (p-p')^2 prefactor divided out."""
     if math.isinf(theta):
-        return quad_gamma_vac(tau, spec)
+        return quad_gamma_vac(tau)
     weight = lambda w: 1.0 + _cothm1(0.5 * theta * w)
-    return _frequency_integral(tau, theta, "total", *_omc_kernel(tau, weight), spec)
+    return _frequency_integral(tau, theta, "total", *_omc_kernel(tau, weight))
 
 
-def quad_phase(tau: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
+def quad_phase(tau: float) -> QuadResult:
     """integral dw e^-w (w tau - sin w tau)/w; closed form tau - arctan tau."""
     def combined(w):
         wt = w * tau
         return np.exp(-w) * (wt - np.sin(wt)) / w
 
     return _frequency_integral(tau, math.inf, "phase", combined, lambda w: np.exp(-w) / w, "sin",
-                               lambda wmax: tau * math.exp(-wmax), spec,
+                               lambda wmax: tau * math.exp(-wmax),
                                smooth=lambda w: tau * np.exp(-w))
 
 
-def quad_field_energy(tau: float, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
+def quad_field_energy(tau: float) -> QuadResult:
     """integral dw e^-w (1-cos w tau); closed form tau^2/(1 + tau^2) (times Omega in SI)."""
     return _frequency_integral(
         tau, math.inf, None, lambda w: np.exp(-w) * _one_minus_cos(w * tau), lambda w: np.exp(-w),
-        "cos", lambda wmax: 2.0 * math.exp(-wmax), spec)
+        "cos", lambda wmax: 2.0 * math.exp(-wmax))
 
 
-def quad_photon_continuum(tau: float, v0: float = 0.0,
-                          spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
+def quad_photon_continuum(tau: float, v0: float = 0.0) -> QuadResult:
     """Angular + frequency continuum sum of the per-mode occupation.
 
     (3/4) integral_-1^1 dmu (1-mu^2) K(tau (1 - v0 mu)) with K the photon
@@ -212,7 +212,7 @@ def quad_photon_continuum(tau: float, v0: float = 0.0,
     panels = 0
     converged = True
     for m, w in zip(mu, wts):
-        inner = quad_photon(tau * (1.0 - v0 * m), spec)
+        inner = quad_photon(tau * (1.0 - v0 * m))
         total += w * 0.75 * (1.0 - m * m) * inner.value
         err += w * 0.75 * (1.0 - m * m) * inner.error
         panels += inner.panels
@@ -339,14 +339,13 @@ def _worst(reports: list[OracleReport]) -> OracleReport:
     return worst
 
 
-def run_all(params: ModelParams, t_grid_seconds, spec: QuadratureSpec = DEFAULT_SPEC,
-            include_transform: bool = False,
+def run_all(params: ModelParams, t_grid_seconds, include_transform: bool = False,
             transform_params: ModelParams | None = None) -> list[OracleReport]:
     """Every oracle against its closed form, aggregated to one worst-case
     report per quantity. Per-quantity failures are collected, never raised."""
     taus = params.tau(np.asarray(t_grid_seconds, dtype=float)).tolist()
     theta = params.theta
-    p_bar = params.p0_mag if params.p0_mag > 0.0 else params.delta_p
+    p_bar = abs(params.p0) or params.delta_p
     reports: list[OracleReport] = []
 
     def gather(quantity, closed_fn, quad_fn, tol, grid, detail=""):
@@ -368,19 +367,19 @@ def run_all(params: ModelParams, t_grid_seconds, spec: QuadratureSpec = DEFAULT_
 
     # the vacuum factor and the photon number share one frequency integral:
     # integrate it once per tau and check both closed forms against it
-    quad_vac = functools.lru_cache(maxsize=None)(lambda tau: quad_gamma_vac(tau, spec))
+    quad_vac = functools.lru_cache(maxsize=None)(quad_gamma_vac)
     gather("gamma_vac", decoherence.log_sqrt_one_plus_sq,
            quad_vac, ORACLE_CHECKS["gamma_vac"][1], taus)
     gather("phase_xi", decoherence.tau_minus_arctan,
-           lambda tau: quad_phase(tau, spec), ORACLE_CHECKS["phase_xi"][1], taus)
+           quad_phase, ORACLE_CHECKS["phase_xi"][1], taus)
     gather("photon_number", lambda tau: math.log1p(tau * tau) / 2.0,
            quad_vac, ORACLE_CHECKS["photon_number"][1], taus)
     gather("field_energy", decoherence.lorentz_weight,
-           lambda tau: quad_field_energy(tau, spec), ORACLE_CHECKS["field_energy"][1], taus)
+           quad_field_energy, ORACLE_CHECKS["field_energy"][1], taus)
     if params.temperature > 0.0:
         gather("gamma_th",
                lambda tau: decoherence.log_sinhc(math.pi * tau / theta),
-               lambda tau: quad_gamma_th(tau, theta, spec),
+               lambda tau: quad_gamma_th(tau, theta),
                thermal_tolerance(theta, 1e-7), taus,
                detail=f"k_BT << hbar Omega form at theta = {theta:.3g}")
     # at T = 0 (theta = inf) the thermal term is log_sinhc(0) = 0, the tolerance
@@ -388,7 +387,7 @@ def run_all(params: ModelParams, t_grid_seconds, spec: QuadratureSpec = DEFAULT_
     gather("gamma_total_spectral",
            lambda tau: decoherence.log_sqrt_one_plus_sq(tau)
            + decoherence.log_sinhc(math.pi * tau / theta),
-           lambda tau: quad_gamma_total(tau, theta, spec),
+           lambda tau: quad_gamma_total(tau, theta),
            thermal_tolerance(theta, ORACLE_CHECKS["gamma_total_spectral"][1]), taus,
            detail="" if params.temperature > 0.0 else "T = 0: coth = 1 branch")
 
@@ -397,7 +396,7 @@ def run_all(params: ModelParams, t_grid_seconds, spec: QuadratureSpec = DEFAULT_
     v0c = min(params.v0, 1e-4)
     cont_taus = taus[:: max(1, len(taus) // 5)]
     gather("photon_continuum", lambda tau: math.log1p(tau * tau) / 2.0,
-           lambda tau: quad_photon_continuum(tau, v0c, spec=spec),
+           lambda tau: quad_photon_continuum(tau, v0c),
            ORACLE_CHECKS["photon_continuum"][1], cont_taus,
            detail=f"v0 = {v0c:g}, 40-node angular rule")
 
@@ -415,7 +414,7 @@ def run_all(params: ModelParams, t_grid_seconds, spec: QuadratureSpec = DEFAULT_
 
     if include_transform:
         tp = transform_params if transform_params is not None else params
-        reports.extend(transform_reports(tp, spec))
+        reports.extend(transform_reports(tp))
     return reports
 
 
@@ -439,8 +438,7 @@ def fig3_time(params: ModelParams) -> float:
         f"delta_p = {params.delta_p:g} m0 c; the decohered panel needs a larger alpha delta_p^2")
 
 
-def transform_reports(params: ModelParams, spec: QuadratureSpec = DEFAULT_SPEC,
-                      n_p: int = 1024) -> list[OracleReport]:
+def transform_reports(params: ModelParams, n_p: int = 1024) -> list[OracleReport]:
     """Transform-consistency reports at t = 0 and t = 3 tau_vac."""
     packet = GaussianPacket.from_params(params)
     tol = ORACLE_CHECKS["rho_r_transform"][1]

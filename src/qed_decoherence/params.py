@@ -10,10 +10,11 @@ dimensionless numbers:
     theta   = hbar Omega / (k_B T)          (inverse temperature in cutoff units)
     alpha   = e^2 / (hbar c)                (coupling)
 
-plus the packet numbers p0, delta_p in units of m0 c.  Derived conventions:
-momenta in m0 c, lengths in hbar/(m0 c), energies in m0 c^2, decoherence and
-phase factors in 1/(m0 c)^2.  The "internal time" carrying the free-evolution
-phase is t * m0 c^2 / hbar = tau / epsilon.
+plus the packet numbers p0, delta_p in units of m0 c.  p0 and the initial
+position r0 are signed floats along the packet's one axis.  Derived
+conventions: momenta in m0 c, lengths in hbar/(m0 c), energies in m0 c^2,
+decoherence and phase factors in 1/(m0 c)^2.  The "internal time" carrying
+the free-evolution phase is t * m0 c^2 / hbar = tau / epsilon.
 
 Public operations accept and return SI (seconds, kelvin, kg); the conversion
 happens once at this boundary.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -54,15 +56,6 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _as_vec3(value) -> tuple[float, float, float]:
-    if np.isscalar(value):
-        return (float(value), 0.0, 0.0)
-    v = tuple(float(x) for x in value)
-    if len(v) != 3:
-        raise DomainError(f"expected scalar or 3-vector, got length {len(v)}")
-    return v
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Physical inputs. Momenta in m0 c, positions in c/Omega, everything else SI.
@@ -75,14 +68,16 @@ class ModelParams:
     omega_cut: float = 1e19            # Omega, rad/s
     temperature: float = 1.0           # K
     mass0: float = 9.1093837015e-31    # kg
-    p0: tuple[float, float, float] = (0.1, 0.0, 0.0)   # units of m0 c
+    p0: float = 0.1                    # units of m0 c, along the packet axis
     delta_p: float = 0.1               # units of m0 c
-    r0: tuple[float, float, float] = (0.0, 0.0, 0.0)   # units of c/Omega
+    r0: float = 0.0                    # units of c/Omega, along the packet axis
     v0: float | None = None            # units of c; defaults to |p0|
 
     def __post_init__(self):
-        object.__setattr__(self, "p0", _as_vec3(self.p0))
-        object.__setattr__(self, "r0", _as_vec3(self.r0))
+        for name in ("p0", "r0"):   # floats along the packet axis
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise DomainError(f"{name} = {getattr(self, name)!r} must be a real number")
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("alpha", "omega_cut", "temperature", "mass0", "delta_p", "p0", "r0"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DomainError(f"{name} = {getattr(self, name)} must be finite")
@@ -97,7 +92,7 @@ class ModelParams:
         if self.delta_p <= 0.0:
             raise DomainError("delta_p must be positive")
         if self.v0 is None:
-            object.__setattr__(self, "v0", self.p0_mag)
+            object.__setattr__(self, "v0", abs(self.p0))
         if not 0.0 <= self.v0 < 1.0:
             raise DomainError(f"v0 = {self.v0} outside the non-relativistic range [0, 1)")
         # Dipole validity: packet width must stay below the cutoff wavelength.
@@ -130,10 +125,6 @@ class ModelParams:
         return HBAR * self.omega_cut / (BOLTZMANN * self.temperature)
 
     @property
-    def p0_mag(self) -> float:
-        return math.sqrt(sum(c * c for c in self.p0))
-
-    @property
     def delta_r_internal(self) -> float:
         """Packet spatial width 3 hbar / (2 delta_p), in hbar/(m0 c)."""
         return 1.5 / self.delta_p
@@ -164,9 +155,9 @@ class ModelParams:
         """m0 c^2 units -> J."""
         return e_internal * self.mass0 * SPEED_OF_LIGHT**2
 
-    def r0_internal(self) -> tuple[float, float, float]:
+    def r0_internal(self) -> float:
         """Initial position, c/Omega units -> hbar/(m0 c) units."""
-        return tuple(c / self.epsilon for c in self.r0)
+        return self.r0 / self.epsilon
 
 
 @dataclass(frozen=True)
@@ -193,8 +184,8 @@ def thermal_time(temperature: float) -> float:
     return HBAR / (math.pi * BOLTZMANN * temperature)
 
 
-def bisect(f, lo: float, hi: float, rel_tol: float = 1e-14, max_iter: int = 200) -> float:
-    """Bracketed bisection; f(lo) and f(hi) must differ in sign."""
+def _bisect(f, lo: float, hi: float) -> float:
+    """Bracketed bisection to 1e-15 relative; f(lo) and f(hi) must differ in sign."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -202,10 +193,10 @@ def bisect(f, lo: float, hi: float, rel_tol: float = 1e-14, max_iter: int = 200)
         return hi
     if flo * fhi > 0.0:
         raise DomainError(f"root not bracketed on [{lo:g}, {hi:g}]: f = ({flo:g}, {fhi:g})")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0.0 or (hi - lo) <= rel_tol * abs(mid):
+        if fm == 0.0 or (hi - lo) <= 1e-15 * abs(mid):
             return mid
         if flo * fm < 0.0:
             hi = mid
@@ -227,7 +218,7 @@ def transition_time(omega_cut: float, tau_F: float) -> float:
             f"no late-time crossing of ln(Omega t) = t/tau_F: Omega tau_F = {w:.3g} <= e"
         )
     f = lambda x: math.log(w * x) - x   # x = t / tau_F
-    return bisect(f, 1.0, 1e6, rel_tol=1e-15) * tau_F
+    return _bisect(f, 1.0, 1e6) * tau_F
 
 
 def vacuum_thermal_crossover(omega_cut: float, tau_F: float) -> float:
@@ -243,8 +234,7 @@ def vacuum_thermal_crossover(omega_cut: float, tau_F: float) -> float:
     if not w > math.e:
         raise DomainError(f"no vacuum->thermal crossover: Omega tau_F = {w:.3g} <= e")
     f = lambda x: log_sqrt_one_plus_sq(w * x) - log_sinhc(x)
-    x = bisect(f, 1.0, 1e6, rel_tol=1e-15)
-    return x * tau_F
+    return _bisect(f, 1.0, 1e6) * tau_F
 
 
 def vacuum_decoherence_time(params: ModelParams, dp: float) -> tuple[float, float]:

@@ -20,7 +20,7 @@ def fig3_params() -> ModelParams:
     tau_vac = exp(3 pi/(2 alpha) (m0 c/dp)^2)/Omega = e^pi/Omega at alpha = 150."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DipoleValidityWarning)
-        return ModelParams(alpha=150.0, p0=(0.0, 0.0, 0.0), delta_p=0.1)
+        return ModelParams(alpha=150.0, p0=0.0, delta_p=0.1)
 
 
 def make_params(**kw) -> ModelParams:

@@ -234,14 +234,14 @@ def test_criterion_10_derivatives_and_scaling(default_params):
     worst_v = 0.0
     for tau in np.geomspace(1e-3, 1e6, 10):
         t = p.seconds(tau)
-        fd = central_derivative(lambda s: obs.snapshot(p, s).mean_q[0], t)
-        v = obs.snapshot(p, t).mean_v[0]
+        fd = central_derivative(lambda s: obs.snapshot(p, s).mean_q, t)
+        v = obs.snapshot(p, t).mean_v
         worst_v = max(worst_v, abs(fd - v) / abs(v))
     worst_a = 0.0
     for tau in np.geomspace(1e-2, 30.0, 9):
         t = p.seconds(tau)
-        fd = central_derivative(lambda s: obs.snapshot(p, s).mean_v[0], t)
-        a = obs.snapshot(p, t).accel[0]
+        fd = central_derivative(lambda s: obs.snapshot(p, s).mean_v, t)
+        a = obs.snapshot(p, t).accel
         worst_a = max(worst_a, abs(fd - a) / abs(a))
     p1 = make_params(alpha=0.02)
     p2 = make_params(alpha=0.06)

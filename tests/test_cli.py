@@ -80,7 +80,7 @@ class TestConfig:
     def test_build_params_roundtrip(self):
         resolved = resolve(None, {"p0_over_m0c": 0.2, "temperature_K": 7.0})
         p = build_params(resolved)
-        assert p.p0 == (0.2, 0.0, 0.0)
+        assert p.p0 == 0.2
         assert p.temperature == 7.0
 
 
@@ -110,6 +110,23 @@ class TestScan:
             assert s_lin == pytest.approx(1.0 - lp_over_dp, abs=1e-12)
         s_vals = [float(r[col["s_lin"]]) for r in rows]
         assert all(b >= a - 1e-15 for a, b in zip(s_vals, s_vals[1:]))
+
+    def test_negative_p0_moves_the_other_way(self, tmp_path):
+        # the packet axis carries the sign of p0; |p0| sets v0 and the photon number
+        cols = {}
+        for p0 in ("-0.15", "0.15"):
+            out = tmp_path / f"scan{p0}.csv"
+            assert run_cli("scan", "--out", str(out), "--t-points", "9",
+                           "--p0-over-m0c", p0) == 0
+            _, header, rows = read_csv(out)
+            cols[p0] = {name: [float(r[i]) for r in rows] for i, name in enumerate(header)}
+        assert build_params(resolve(None, {"p0_over_m0c": -0.15})).v0 == 0.15
+        neg, pos = cols["-0.15"], cols["0.15"]
+        assert all(v < 0.0 for v in neg["mean_v"])
+        assert neg["mean_v"] == [-v for v in pos["mean_v"]]
+        assert neg["mean_q"] == [-q for q in pos["mean_q"]]
+        assert neg["n_photons"] == pos["n_photons"]
+        assert neg["valid"] == pos["valid"]
 
     def test_t0_like_first_row(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -148,7 +148,7 @@ class TestRhoR:
 
     def test_free_evolution_gaussian_center_and_width(self):
         # alpha = 0: packet drifts at p0/m0 and spreads like the free solution
-        p = make_params(alpha=0.0, p0=(0.2, 0.0, 0.0))
+        p = make_params(alpha=0.0, p0=0.2)
         pk = GaussianPacket.from_params(p)
         tau = 500.0
         t_int = tau / p.epsilon

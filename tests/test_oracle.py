@@ -128,13 +128,15 @@ class TestFrequencyOracles:
         assert (a.value, a.error, a.panels) == (b.value, b.error, b.panels)
         assert a.panels == panels
 
-    def test_convergence_monotonicity(self):
+    def test_convergence_monotonicity(self, monkeypatch):
         loose = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-9)
         tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
         tau = 5.62
         exact = dec.log_sqrt_one_plus_sq(tau)
-        e_loose = abs(quad_gamma_vac(tau, loose).value - exact)
-        e_tight = abs(quad_gamma_vac(tau, tight).value - exact)
+        monkeypatch.setattr(oracle, "DEFAULT_SPEC", loose)
+        e_loose = abs(quad_gamma_vac(tau).value - exact)
+        monkeypatch.setattr(oracle, "DEFAULT_SPEC", tight)
+        e_tight = abs(quad_gamma_vac(tau).value - exact)
         assert e_tight <= e_loose
         assert e_tight <= 1e-10 * exact
 
@@ -163,7 +165,7 @@ class TestTransformOracle:
 
     def test_moments_match_closed_forms(self, fig3_params):
         # <q> and <q^2> from the transformed diagonal vs -2 p0 Phi and d^2 Z
-        p = dataclasses.replace(fig3_params, p0=(0.05, 0.0, 0.0), v0=None)
+        p = dataclasses.replace(fig3_params, p0=0.05, v0=None)
         packet = GaussianPacket.from_params(p)
         f = DecoherenceFactors.at_time(p, fig3_time(p))
         p_grid, q_grid = default_transform_grids(packet, f, n_p=2048, n_q=801)
@@ -188,7 +190,7 @@ class TestTransformOracle:
 
     def test_nonzero_r0_consistent(self, fig3_params):
         # the packet's r0 phase must cancel against the transform phases
-        p = dataclasses.replace(fig3_params, r0=(0.5, 0.0, 0.0))
+        p = dataclasses.replace(fig3_params, r0=0.5)
         packet = GaussianPacket.from_params(p)
         f = DecoherenceFactors.at_time(p, fig3_time(p))
         p_grid, q_grid = default_transform_grids(packet, f, n_p=1024, n_q=101)
@@ -209,7 +211,7 @@ class TestRunAll:
         # every registered closed form shows up exactly once per run (transform
         # reports appear twice: both figure times)
         t_grid = [default_params.seconds(tau) for tau in np.geomspace(1e-2, 1e4, 5)]
-        fig3 = make_params(alpha=150.0, p0=(0.0, 0.0, 0.0), delta_p=0.1)
+        fig3 = make_params(alpha=150.0, p0=0.0, delta_p=0.1)
         reports = run_all(default_params, t_grid, include_transform=True,
                           transform_params=fig3)
         seen = {r.quantity for r in reports}
@@ -238,9 +240,9 @@ class TestRunAll:
         calls, photon_calls = [], []
         real_vac, real_photon = oracle.quad_gamma_vac, oracle.quad_photon
         monkeypatch.setattr(oracle, "quad_gamma_vac",
-                            lambda tau, spec: calls.append(tau) or real_vac(tau, spec))
+                            lambda tau: calls.append(tau) or real_vac(tau))
         monkeypatch.setattr(oracle, "quad_photon",
-                            lambda tau, spec: photon_calls.append(tau) or real_photon(tau, spec))
+                            lambda tau: photon_calls.append(tau) or real_photon(tau))
         t_grid = [default_params.seconds(tau) for tau in np.geomspace(1e-2, 1e4, 5)]
         reports = {r.quantity: r for r in run_all(default_params, t_grid)}
         assert len(calls) == len(set(calls)) == 5

@@ -144,26 +144,26 @@ class TestValidityWindow:
         assert ts.tau_d == pytest.approx(1e-18, rel=1e-12)
 
     def test_stationary_packet_tau_0_infinite(self):
-        ts = validity_window(make_params(p0=(0.0, 0.0, 0.0)))
+        ts = validity_window(make_params(p0=0.0))
         assert math.isinf(ts.tau_0)
 
     def test_ratio_identity(self):
-        p = make_params(p0=(0.3, 0.0, 0.0), delta_p=0.05)
+        p = make_params(p0=0.3, delta_p=0.05)
         ts = validity_window(p)
         assert ts.tau_d / ts.tau_0 == pytest.approx(p.v0 / p.delta_p, rel=1e-12)
 
     def test_tau_d_much_larger_than_tau_0_when_dp_below_v0(self):
         # lower cutoff keeps delta_r = 1.5/delta_p under c/Omega
-        p = make_params(p0=(0.5, 0.0, 0.0), delta_p=0.01, omega_cut=1e18)
+        p = make_params(p0=0.5, delta_p=0.01, omega_cut=1e18)
         ts = validity_window(p)
         assert ts.tau_d > ts.tau_0
 
     def test_bound_is_min(self):
-        p = make_params(p0=(0.5, 0.0, 0.0), delta_p=0.01, omega_cut=1e18)
+        p = make_params(p0=0.5, delta_p=0.01, omega_cut=1e18)
         ts = validity_window(p)
         assert validity_bound(p) == min(ts.tau_d, ts.tau_0)
 
-    @pytest.mark.parametrize("kw", [{}, {"temperature": 0.0}, {"p0": (0.0, 0.0, 0.0)}],
+    @pytest.mark.parametrize("kw", [{}, {"temperature": 0.0}, {"p0": 0.0}],
                              ids=["defaults", "T0", "v0_zero"])
     def test_bound_is_min_of_window(self, kw):
         p = make_params(**kw)
@@ -193,7 +193,7 @@ class TestModelParams:
 
     def test_rejects_relativistic_v0(self):
         with pytest.raises(DomainError):
-            make_params(p0=(1.5, 0.0, 0.0))
+            make_params(p0=1.5)
 
     def test_dipole_hard_precondition(self):
         # delta_r = 1.5/dp in hbar/m0c; needs delta_r * epsilon < 1
@@ -212,13 +212,24 @@ class TestModelParams:
             dataclasses.replace(p, alpha=0.01)
         assert [r.filename for r in (*record, *replaced)] == [__file__, __file__]
 
-    def test_v0_defaults_to_p0_magnitude(self):
-        p = make_params(p0=(0.3, 0.4, 0.0))
-        assert p.v0 == pytest.approx(0.5, rel=1e-12)
+    def test_v0_defaults_to_abs_p0(self):
+        p = make_params(p0=-0.3)
+        assert p.v0 == 0.3
 
     def test_scalar_p0_promotes_to_x_axis(self):
-        p = make_params(p0=0.2)
-        assert p.p0 == (0.2, 0.0, 0.0)
+        p = make_params(p0=np.float32(0.25), r0=1)
+        assert type(p.p0) is float and p.p0 == 0.25
+        assert type(p.r0) is float and p.r0 == 1.0
+
+    @pytest.mark.parametrize("kw", [{"p0": (0.1, 0.0, 0.0)}, {"p0": [0.1]},
+                                    {"r0": np.zeros(3)}, {"p0": math.nan}, {"p0": "0.1"},
+                                    {"r0": np.array(0.5)}, {"p0": 0.1j}],
+                             ids=["p0_tuple", "p0_list", "r0_array", "p0_nan", "p0_str",
+                                  "r0_0d_array", "p0_complex"])
+    def test_p0_and_r0_are_floats_along_the_axis(self, kw):
+        # a non-scalar or non-finite p0 or r0 is a DomainError, never a TypeError
+        with pytest.raises(DomainError):
+            make_params(**kw)
 
     @given(st.floats(min_value=1e-25, max_value=1e-5))
     @settings(max_examples=50, deadline=None)
@@ -234,6 +245,6 @@ class TestModelParams:
         assert p.energy_si(x) / (p.mass0 * 299792458.0**2) == pytest.approx(x, rel=1e-12)
 
     def test_r0_internal_conversion(self):
-        p = make_params(r0=(1.0, 0.0, 0.0))
+        p = make_params(r0=1.0)
         # 1 c/Omega in units of hbar/(m0 c) is 1/epsilon
-        assert p.r0_internal()[0] == pytest.approx(1.0 / p.epsilon, rel=1e-12)
+        assert p.r0_internal() == pytest.approx(1.0 / p.epsilon, rel=1e-12)

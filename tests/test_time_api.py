@@ -102,5 +102,5 @@ def test_array_of_times_stacks_scalar_calls(name):
     for r in scalars:
         value = r.gamma if isinstance(r, dec.DecoherenceFactors) else (
             r.l_p if isinstance(r, obs.ObservableSnapshot) else r)
-        assert value is None or np.ndim(value) in (0, 1)   # a scalar, or one 3-vector
+        assert value is None or np.ndim(value) == 0
     _assert_stacked(call(times), scalars)
