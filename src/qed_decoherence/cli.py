@@ -42,7 +42,6 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
 
-FIG3_ALPHA = 150.0   # coupling for the fig3 parameter set: tau_vac = e^pi / Omega
 RHO_MAX_POINTS = 1001   # rho writes points^2 rows: ~1e6 rows, ~110 MB of CSV at the cap,
                         # from a run that peaks at ~54 MB resident, set by the CSV writing
 
@@ -181,7 +180,7 @@ def _time_grid(args) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# commands: each takes the parsed arguments, with params, resolved and user_set set by main
+# commands: each takes the parsed arguments, with params and resolved set by main
 # ---------------------------------------------------------------------------
 
 SCAN_COLUMNS = [
@@ -217,64 +216,55 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _fig3_params(params: ModelParams, user_set: frozenset[str] = frozenset()) -> ModelParams:
-    """The fig3 reference set (alpha = FIG3_ALPHA, a stationary packet with v0
-    auto, delta_p = 0.1) over params, except for the keys in user_set."""
-    overrides = {}
-    if "alpha" not in user_set:
-        overrides["alpha"] = FIG3_ALPHA
-    if "p0_over_m0c" not in user_set:
-        overrides["p0"] = 0.0
-        overrides["v0"] = None
-    if "delta_p_over_m0c" not in user_set:
-        overrides["delta_p"] = 0.1
-    return replace(params, **overrides)
-
+# each figure's standard parameter set, a config layer between the defaults and the
+# user's: fig1 at room temperature, fig2 at |p - p'| = 0.1 m0 c, and fig3 a stationary
+# packet at the coupling where tau_vac = e^pi / Omega
+_FIGURE_PRESETS = {
+    "fig1": {"temperature_K": 300.0},
+    "fig2": {"delta_p_over_m0c": 0.1},
+    "fig3": {"alpha": 150.0, "p0_over_m0c": 0.0, "delta_p_over_m0c": 0.1},
+}
 
 _FIG_ALPHAS = (1.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
 _FIG_ZETAS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
-def _figure_rows(which: str, params: ModelParams, user_set: frozenset[str]):
-    """Figure data as (header, columns, parameters used); each figure's
-    standard parameters act as defaults that explicit config/CLI settings
-    override. The columns broadcast to (outer, inner) rows (see _Table):
+def _figure_rows(which: str, params: ModelParams):
+    """Figure data as (header, columns), at params resolved over the figure's
+    preset. The columns broadcast to (outer, inner) rows (see _Table):
     fig1, fig2 and fig4 write every Omega t for each zeta or alpha in turn,
     fig3 every p' for each (panel, p)."""
     taus = np.geomspace(1e-3, 1e6, 181)
     if which == "fig1":
         # vacuum vs thermal decoherence exponents as a function of zeta, T = 300 K
-        p1 = params if "temperature_K" in user_set else replace(params, temperature=300.0)
         header = ["t_s", "t_omega", "zeta", "gamma_vac_pp", "gamma_th_pp"]
         zeta = np.array(_FIG_ZETAS)[:, None]
-        t = p1.seconds(taus)
+        t = params.seconds(taus)
         return header, [t, taus, zeta, zeta * log_sqrt_one_plus_sq(taus),
-                        zeta * log_sinhc(p1.thermal_x(t))], p1
+                        zeta * log_sinhc(params.thermal_x(t))]
     if which == "fig2":
         # vacuum suppression vs time and coupling at |p - p'| = 0.1 m0 c
         header = ["t_omega", "alpha", "exp_neg_gamma_vac_pp"]
-        dp2 = (params.delta_p if "delta_p_over_m0c" in user_set else 0.1) ** 2
         alpha = np.array(_FIG_ALPHAS)[:, None]
-        return header, [taus, alpha, np.exp(-(coupling_scale(alpha) * dp2)
-                                            * log_sqrt_one_plus_sq(taus))], params
+        return header, [taus, alpha, np.exp(-(coupling_scale(alpha) * params.delta_p ** 2)
+                                            * log_sqrt_one_plus_sq(taus))]
     if which == "fig3":
-        p3 = _fig3_params(params, user_set)
-        packet = GaussianPacket.from_params(p3)
-        times = np.array([0.0, oracle.fig3_time(p3)])
+        packet = GaussianPacket.from_params(params)
+        times = np.array([0.0, oracle.fig3_time(params)])
         grid = np.linspace(packet.p0 - 4.0 * packet.delta_p,
                            packet.p0 + 4.0 * packet.delta_p, 81)
         header = ["t_label", "t_s", "p_over_m0c", "p_prime_over_m0c", "rho_abs_normalized"]
-        panels = [np.abs(densmat.rho_p_matrix(grid, packet, DecoherenceFactors.at_time(p3, t)))
+        panels = [np.abs(densmat.rho_p_matrix(grid, packet, DecoherenceFactors.at_time(params, t)))
                   / packet.norm for t in times]
         return header, [np.repeat(["initial", "3tau_vac"], grid.size)[:, None],
                         np.repeat(times, grid.size)[:, None], np.tile(grid, 2)[:, None], grid,
-                        np.concatenate(panels)], p3
+                        np.concatenate(panels)]
     if which == "fig4":
         header = ["t_s", "t_omega", "alpha", "s_lin"]
         s_lin = [observables.linear_entropy(replace(params, alpha=a), params.seconds(taus))
                  for a in _FIG_ALPHAS]
         return header, [params.seconds(taus), taus, np.array(_FIG_ALPHAS)[:, None],
-                        np.stack(s_lin)], params
+                        np.stack(s_lin)]
     raise DomainError(f"unknown figure id {which!r} (expected fig1|fig2|fig3|fig4)")
 
 
@@ -306,14 +296,14 @@ plt.show()
 
 
 def cmd_figure(args) -> int:
-    # the figure sets change alpha, T and p0, and delta_p only where the run left it at
-    # its default: their delta_r / (c/Omega) is that of params, which main warned about
+    # fig4 changes only alpha: its delta_r / (c/Omega) is that of params, which main warned about
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DipoleValidityWarning)
-        header, columns, used = _figure_rows(args.which, args.params, args.user_set)
+        header, columns = _figure_rows(args.which, args.params)
+    p = args.params
     comments = [f"qed-decoherence figure {args.which}",
-                f"alpha = {used.alpha!r}, omega_cut_rad_s = {used.omega_cut!r}, "
-                f"temperature_K = {used.temperature!r}, delta_p_over_m0c = {used.delta_p!r}",
+                f"alpha = {p.alpha!r}, omega_cut_rad_s = {p.omega_cut!r}, "
+                f"temperature_K = {p.temperature!r}, delta_p_over_m0c = {p.delta_p!r}",
                 *cfg.provenance_lines(args.resolved)]
     write_csv(args.out, comments, header, _table(header, columns), args.sigfigs)
     if args.plot_script is not None:
@@ -361,7 +351,7 @@ def verification_reports(params: ModelParams):
     # the fixed set is not the run's packet: its DipoleValidityWarning says nothing of the run
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DipoleValidityWarning)
-        reference = _fig3_params(cfg.build_params(dict(cfg.DEFAULTS)))
+        reference = cfg.build_params(cfg.resolve(_FIGURE_PRESETS["fig3"]))
     return oracle.run_all(params, t_grid, include_transform=True, transform_params=reference)
 
 
@@ -488,14 +478,15 @@ def main(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     try:
-        # the keys the config file or a flag set, whatever their values
+        # the user's layers: the config file under the flags
         user = {key: getattr(args, key) for key in cfg.CONFIG_KEYS
                 if getattr(args, key) is not None}
         if args.config is not None:
             user = cfg.parse_config_file(args.config) | user
+        # the provenance headers write the user's config; the run uses it over the preset
         args.resolved = cfg.resolve(None, user)
-        args.params = cfg.build_params(args.resolved)
-        args.user_set = frozenset(user)
+        preset = _FIGURE_PRESETS.get(args.which) if args.command == "figure" else None
+        args.params = cfg.build_params(cfg.resolve(preset, user))
         _check_args(args)
         # _table refuses every non-finite value scan, figure and rho would write, and
         # verify and timescales write nan/inf on purpose: numpy's warnings add nothing

@@ -1,46 +1,32 @@
-"""Flat key-value run configuration.
+"""Run configuration, resolved in layers: defaults < preset < config file < flags.
+
+The defaults are the field defaults of ModelParams. A preset is the standard
+parameter set of a figure (cli._FIGURE_PRESETS). The config file and the CLI
+flags are the user's layers; the flags win.
 
 File format: one `key = value` per line, `#` comments, blank lines ignored.
-Recognized keys (all overridable by CLI flags of the same names):
-
-    alpha, omega_cut_rad_s, temperature_K, mass0_kg,
-    p0_over_m0c, delta_p_over_m0c, v0_over_c
-
-v0_over_c also takes `auto` (use |p0|), as the CSV provenance headers write it.
-
-Defaults: Omega = 1e19 rad/s (hbar Omega is about m_e c^2 / 100 for an
-electron), T = 1 K, delta_p/m0 c = 0.1.
+The keys are CONFIG_KEYS, each also a CLI flag of the same name. v0_over_c
+also takes `auto` (use |p0|), as the CSV provenance headers write it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .constants import ELECTRON_MASS, FINE_STRUCTURE
 from .params import DomainError, ModelParams
 
 __all__ = ["CONFIG_KEYS", "DEFAULTS", "build_params", "parse_config_file", "provenance_lines",
            "resolve"]
 
-CONFIG_KEYS = (
-    "alpha",
-    "omega_cut_rad_s",
-    "temperature_K",
-    "mass0_kg",
-    "p0_over_m0c",
-    "delta_p_over_m0c",
-    "v0_over_c",
-)
+# config key -> ModelParams field
+_FIELDS = {"alpha": "alpha", "omega_cut_rad_s": "omega_cut", "temperature_K": "temperature",
+           "mass0_kg": "mass0", "p0_over_m0c": "p0", "delta_p_over_m0c": "delta_p",
+           "v0_over_c": "v0"}
 
-DEFAULTS: dict[str, float | None] = {
-    "alpha": FINE_STRUCTURE,
-    "omega_cut_rad_s": 1e19,
-    "temperature_K": 1.0,
-    "mass0_kg": ELECTRON_MASS,
-    "p0_over_m0c": 0.1,
-    "delta_p_over_m0c": 0.1,
-    "v0_over_c": None,
-}
+CONFIG_KEYS = tuple(_FIELDS)
+# a dataclass field's default is the class attribute of its name
+DEFAULTS: dict[str, float | None] = {key: getattr(ModelParams, name)
+                                     for key, name in _FIELDS.items()}
 
 
 def parse_config_file(path: str | Path) -> dict[str, float | None]:
@@ -67,32 +53,22 @@ def parse_config_file(path: str | Path) -> dict[str, float | None]:
     return values
 
 
-def resolve(config_file: str | Path | None = None,
-            overrides: dict[str, float] | None = None) -> dict[str, float | None]:
-    """defaults < config file < CLI overrides."""
+def resolve(preset: dict[str, float] | None = None,
+            overrides: dict[str, float | None] | None = None) -> dict[str, float | None]:
+    """DEFAULTS < preset < overrides (the config file's values under the flags').
+    A None layer or value sets nothing; an unknown key is a DomainError."""
     merged = dict(DEFAULTS)
-    if config_file is not None:
-        merged.update(parse_config_file(config_file))
-    if overrides:
-        for key, val in overrides.items():
-            if val is None:
-                continue
+    for layer in (preset, overrides):
+        for key, val in (layer or {}).items():
             if key not in CONFIG_KEYS:
                 raise DomainError(f"unknown config key {key!r}")
-            merged[key] = float(val)
+            if val is not None:
+                merged[key] = float(val)
     return merged
 
 
 def build_params(resolved: dict[str, float | None]) -> ModelParams:
-    return ModelParams(
-        alpha=resolved["alpha"],
-        omega_cut=resolved["omega_cut_rad_s"],
-        temperature=resolved["temperature_K"],
-        mass0=resolved["mass0_kg"],
-        p0=resolved["p0_over_m0c"],
-        delta_p=resolved["delta_p_over_m0c"],
-        v0=resolved["v0_over_c"],
-    )
+    return ModelParams(**{name: resolved[key] for key, name in _FIELDS.items()})
 
 
 def provenance_lines(resolved: dict[str, float | None]) -> list[str]:

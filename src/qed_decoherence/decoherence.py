@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DomainError, ModelParams
+from .params import DomainError, ModelParams, _caller_stacklevel
 
 __all__ = [
     "DecoherenceFactors", "coupling_scale", "gamma_th_factor", "gamma_vac_factor",
@@ -143,7 +143,7 @@ def gamma_th_factor(params: ModelParams, t_seconds):
             f"k_B T / hbar Omega = {1.0 / params.theta:.3g} > 0.01: the thermal "
             "closed form assumes k_B T << hbar Omega",
             UserWarning,
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(2),
         )
     return coupling_scale(params.alpha) * log_sinhc(params.thermal_x(t_seconds))
 

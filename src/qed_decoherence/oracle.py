@@ -38,6 +38,7 @@ __all__ = ["ORACLE_CHECKS", "GridResolutionError", "OracleReport", "default_tran
            "transform_consistency"]
 
 DEFAULT_SPEC = QuadratureSpec()
+_N_P = 1024   # momentum points of the transform oracle; its stability check doubles them
 
 
 class GridResolutionError(RuntimeError):
@@ -242,7 +243,7 @@ def fourier_rho_r(packet: GaussianPacket, factors: DecoherenceFactors,
 
 
 def default_transform_grids(packet: GaussianPacket, factors: DecoherenceFactors,
-                            n_p: int = 1024, n_q: int = 201) -> tuple[np.ndarray, np.ndarray]:
+                            n_p: int = _N_P, n_q: int = 201) -> tuple[np.ndarray, np.ndarray]:
     """Grids per the oracle policy: p symmetric about p0 spanning 12 delta_p
     in total, q centered on <q>_t within the packet's +-6 delta_r(t)."""
     p_grid = np.linspace(packet.p0 - 6.0 * packet.delta_p, packet.p0 + 6.0 * packet.delta_p, n_p)
@@ -253,7 +254,7 @@ def default_transform_grids(packet: GaussianPacket, factors: DecoherenceFactors,
 
 
 def transform_consistency(packet: GaussianPacket, factors: DecoherenceFactors,
-                          n_p: int = 1024) -> dict:
+                          n_p: int = _N_P) -> dict:
     """Compare the transform oracle against the closed-form rho_r on a grid.
 
     Returns peak-relative max deviation plus the grid-doubling stability; the
@@ -296,10 +297,10 @@ class OracleReport:
 
     @classmethod
     def compare(cls, quantity: str, closed: float, oracle_val: float, tolerance: float,
-                panels: int, detail: str = "", abs_floor: float = 1e-13) -> "OracleReport":
+                panels: int, detail: str = "") -> "OracleReport":
         abs_err = abs(closed - oracle_val)
         rel_err = abs_err / abs(closed) if closed != 0.0 else math.inf
-        passed = abs_err <= max(tolerance * abs(closed), abs_floor)
+        passed = abs_err <= max(tolerance * abs(closed), 1e-13)   # absolute floor
         return cls(quantity, closed, oracle_val, abs_err,
                    rel_err if closed != 0.0 else abs_err, tolerance, panels, passed, detail)
 
@@ -438,7 +439,7 @@ def fig3_time(params: ModelParams) -> float:
         f"delta_p = {params.delta_p:g} m0 c; the decohered panel needs a larger alpha delta_p^2")
 
 
-def transform_reports(params: ModelParams, n_p: int = 1024) -> list[OracleReport]:
+def transform_reports(params: ModelParams) -> list[OracleReport]:
     """Transform-consistency reports at t = 0 and t = 3 tau_vac."""
     packet = GaussianPacket.from_params(params)
     tol = ORACLE_CHECKS["rho_r_transform"][1]
@@ -446,12 +447,12 @@ def transform_reports(params: ModelParams, n_p: int = 1024) -> list[OracleReport
     for label, t in (("t=0", 0.0), ("t=3tau_vac", fig3_time(params))):
         factors = DecoherenceFactors.at_time(params, t)
         try:
-            res = transform_consistency(packet, factors, n_p=n_p)
+            res = transform_consistency(packet, factors)
             dev = res["max_deviation_over_peak"]
             out.append(OracleReport(
-                "rho_r_transform", 0.0, dev, dev, dev, tol, n_p, dev <= tol,
+                "rho_r_transform", 0.0, dev, dev, dev, tol, _N_P, dev <= tol,
                 f"{label}: peak-relative deviation; stability {res['stability_over_peak']:.2e}"))
         except GridResolutionError as exc:
             out.append(OracleReport("rho_r_transform", math.nan, math.nan, math.inf,
-                                    math.inf, tol, n_p, False, f"{label}: {exc}"))
+                                    math.inf, tol, _N_P, False, f"{label}: {exc}"))
     return out

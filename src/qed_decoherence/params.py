@@ -28,10 +28,11 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .constants import BOLTZMANN, HBAR, SPEED_OF_LIGHT
+from .constants import BOLTZMANN, ELECTRON_MASS, FINE_STRUCTURE, HBAR, SPEED_OF_LIGHT
 
 __all__ = ["DipoleValidityWarning", "DomainError", "ModelParams", "Timescales",
            "thermal_decoherence_time", "thermal_time", "transition_time",
@@ -47,11 +48,18 @@ class DipoleValidityWarning(UserWarning):
     """Packet width approaches the cutoff wavelength c/Omega."""
 
 
-def _caller_stacklevel() -> int:
-    """warnings stack level, seen from __post_init__, of the first caller past
-    the generated __init__ that is outside this module and dataclasses.replace."""
-    frame, level = sys._getframe(3), 3
-    while frame is not None and frame.f_code.co_filename in (__file__, dataclasses.__file__):
+# dataclasses.replace, this module and the closed-form modules: a warning names the first
+# caller outside them
+_PASSED_THROUGH = {dataclasses.__file__, *(str(Path(__file__).with_name(f"{m}.py")) for m in
+                   ("params", "decoherence", "densmat", "observables", "field"))}
+
+
+def _caller_stacklevel(start: int = 3) -> int:
+    """warnings stack level, seen from the function that warns, of the first caller
+    from level start on (the default skips the generated __init__ of ModelParams)
+    whose file is not in _PASSED_THROUGH."""
+    frame, level = sys._getframe(start), start
+    while frame is not None and frame.f_code.co_filename in _PASSED_THROUGH:
         frame, level = frame.f_back, level + 1
     return level
 
@@ -64,23 +72,25 @@ class ModelParams:
     selects the pure-vacuum branch.
     """
 
-    alpha: float = 7.2973525693e-3
+    alpha: float = FINE_STRUCTURE
     omega_cut: float = 1e19            # Omega, rad/s
     temperature: float = 1.0           # K
-    mass0: float = 9.1093837015e-31    # kg
+    mass0: float = ELECTRON_MASS       # kg
     p0: float = 0.1                    # units of m0 c, along the packet axis
     delta_p: float = 0.1               # units of m0 c
     r0: float = 0.0                    # units of c/Omega, along the packet axis
     v0: float | None = None            # units of c; defaults to |p0|
 
     def __post_init__(self):
-        for name in ("p0", "r0"):   # floats along the packet axis
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise DomainError(f"{name} = {getattr(self, name)!r} must be a real number")
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("alpha", "omega_cut", "temperature", "mass0", "delta_p", "p0", "r0"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise DomainError(f"{name} = {getattr(self, name)} must be finite")
+        for name in (f.name for f in dataclasses.fields(self)):
+            val = getattr(self, name)
+            if name == "v0" and val is None:   # auto: |p0|, set below
+                continue
+            if not isinstance(val, numbers.Real):
+                raise DomainError(f"{name} = {val!r} must be a real number")
+            if not math.isfinite(val):
+                raise DomainError(f"{name} = {val} must be finite")
+            object.__setattr__(self, name, float(val))
         if self.alpha < 0.0:
             raise DomainError("alpha must be >= 0 (0 selects free evolution)")
         if self.omega_cut <= 0.0:

@@ -15,7 +15,8 @@ from qed_decoherence.config import (
     parse_config_file,
     resolve,
 )
-from qed_decoherence.params import DomainError
+from qed_decoherence.constants import ELECTRON_MASS, FINE_STRUCTURE
+from qed_decoherence.params import DipoleValidityWarning, DomainError, ModelParams
 
 
 def run_cli(*argv):
@@ -72,10 +73,38 @@ class TestConfig:
             parse_config_file(f)
 
     def test_cli_overrides_beat_file(self, tmp_path):
-        f = tmp_path / "run.cfg"
-        f.write_text("alpha = 0.5\n")
-        resolved = resolve(f, {"alpha": 2.0})
-        assert resolved["alpha"] == 2.0
+        f, out = tmp_path / "run.cfg", tmp_path / "scan.csv"
+        f.write_text("alpha = 0.5\ntemperature_K = 7.0\n")
+        assert run_cli("scan", "--config", str(f), "--alpha", "2.0", "--t-points", "3",
+                       "--out", str(out)) == 0
+        comments, _, _ = read_csv(out)
+        assert "# alpha = 2.0" in comments and "# temperature_K = 7.0" in comments
+
+    def test_layers_preset_beats_defaults_and_overrides_beat_preset(self):
+        preset = {"alpha": 150.0, "p0_over_m0c": 0.0}
+        assert resolve(preset) == DEFAULTS | preset
+        assert resolve(preset, {"alpha": 2.0}) == DEFAULTS | preset | {"alpha": 2.0}
+        assert resolve(None, {"temperature_K": 0}) == DEFAULTS | {"temperature_K": 0.0}
+
+    @pytest.mark.parametrize("preset, overrides", [
+        (None, None), ({}, {}), (None, {"alpha": None}), ({"v0_over_c": None}, None)],
+        ids=["none", "empty", "none_override", "none_preset"])
+    def test_a_none_layer_or_value_sets_nothing(self, preset, overrides):
+        assert resolve(preset, overrides) == DEFAULTS
+
+    @pytest.mark.parametrize("preset, overrides", [({"alhpa": 1.0}, None),
+                                                   (None, {"alhpa": 1.0})],
+                             ids=["preset", "override"])
+    def test_unknown_key_in_a_layer_rejected(self, preset, overrides):
+        with pytest.raises(DomainError, match="unknown config key 'alhpa'"):
+            resolve(preset, overrides)
+
+    def test_defaults_are_the_field_defaults(self):
+        assert DEFAULTS["alpha"] == FINE_STRUCTURE and DEFAULTS["mass0_kg"] == ELECTRON_MASS
+        assert DEFAULTS["v0_over_c"] is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DipoleValidityWarning)
+            assert build_params(DEFAULTS) == ModelParams()
 
     def test_build_params_roundtrip(self):
         resolved = resolve(None, {"p0_over_m0c": 0.2, "temperature_K": 7.0})
@@ -222,6 +251,29 @@ class TestFigures:
         comments, _, _ = read_csv(out1)
         assert any("temperature_K = 5.0" in c for c in comments[:2])
 
+    @pytest.mark.parametrize("extra, alpha", [
+        ([], 150.0), (["--alpha", "60"], 60.0), (["--config", "{cfg}"], 40.0),
+        (["--config", "{cfg}", "--alpha", "60"], 60.0)],
+        ids=["preset", "flag", "file", "flag_over_file"])
+    def test_fig3_layers(self, extra, alpha, tmp_path):
+        # defaults < fig3 preset < config file < flags
+        f, out = tmp_path / "run.cfg", tmp_path / "fig3.csv"
+        f.write_text("alpha = 40\n")
+        argv = [a.format(cfg=f) for a in extra]
+        assert run_cli("figure", "fig3", *argv, "--out", str(out)) == 0
+        comments, _, _ = read_csv(out)
+        assert comments[1].startswith(f"# alpha = {alpha!r}, ")
+
+    def test_fig3_v0_changes_no_value(self, tmp_path):
+        # the user's v0 reaches the fig3 set, and no fig3 column depends on it
+        plain, moving = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("figure", "fig3", "--out", str(plain)) == 0
+        assert run_cli("figure", "fig3", "--v0-over-c", "0.05", "--out", str(moving)) == 0
+        a, b = plain.read_text().splitlines(), moving.read_text().splitlines()
+        assert len(a) == len(b) == 3 + len(CONFIG_KEYS) + 2 * 81 * 81
+        assert [(x, y) for x, y in zip(a, b) if x != y] == [
+            ("# v0_over_c = auto", "# v0_over_c = 0.05")]
+
     @pytest.mark.parametrize("how", ["flag", "file", "neither"])
     def test_fig1_setting_equal_to_the_default_is_honoured(self, how, tmp_path):
         # temperature_K = 1.0 is the config default; set explicitly, it must
@@ -309,6 +361,16 @@ class TestValidityWarning:
             warnings.simplefilter("always")
             assert run_cli(*argv, "--out", str(tmp_path / "out.csv")) == 0
         assert len(caught) == count, [str(w.message) for w in caught]
+
+    def test_scan_warnings_name_config_and_cli(self, tmp_path):
+        # DipoleValidityWarning where main builds the params, the thermal warning
+        # (k_B T / hbar Omega = 0.13) where scan asks for the factors
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("scan", "--temperature-K", "1e7", "--t-points", "3",
+                           "--out", str(tmp_path / "out.csv")) == 0
+        assert [(w.category, Path(w.filename).name) for w in caught] == [
+            (DipoleValidityWarning, "config.py"), (UserWarning, "cli.py")]
 
 
 class TestRho:

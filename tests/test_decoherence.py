@@ -15,6 +15,7 @@ from qed_decoherence.decoherence import (
     phase_factor,
     spectral_density,
 )
+from qed_decoherence.observables import snapshot
 from qed_decoherence.params import thermal_time, vacuum_thermal_crossover
 
 from conftest import make_params
@@ -77,6 +78,15 @@ class TestGammaTh:
         p = make_params(temperature=1e6)  # k_B T/hbar Omega ~ 0.013
         with pytest.warns(UserWarning, match="hbar Omega"):
             gamma_th_factor(p, p.seconds(1.0))
+
+    def test_thermal_warning_names_the_caller(self):
+        # not decoherence.py, nor observables.py on the way from snapshot
+        p = make_params(temperature=1e7)
+        with pytest.warns(UserWarning, match="hbar Omega") as record:
+            gamma_th_factor(p, p.seconds(1.0))
+            DecoherenceFactors.at_time(p, p.seconds(2.0))
+            snapshot(p, p.seconds(3.0))
+        assert [r.filename for r in record] == [__file__] * 3
 
     def test_additivity_is_exact(self, default_params):
         t = default_params.seconds(123.0)

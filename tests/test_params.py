@@ -223,11 +223,15 @@ class TestModelParams:
 
     @pytest.mark.parametrize("kw", [{"p0": (0.1, 0.0, 0.0)}, {"p0": [0.1]},
                                     {"r0": np.zeros(3)}, {"p0": math.nan}, {"p0": "0.1"},
-                                    {"r0": np.array(0.5)}, {"p0": 0.1j}],
+                                    {"r0": np.array(0.5)}, {"p0": 0.1j}, {"alpha": None},
+                                    {"alpha": "0.1"}, {"v0": "0.1"}, {"delta_p": [0.1]},
+                                    {"temperature": (1.0,)}],
                              ids=["p0_tuple", "p0_list", "r0_array", "p0_nan", "p0_str",
-                                  "r0_0d_array", "p0_complex"])
+                                  "r0_0d_array", "p0_complex", "alpha_none", "alpha_str",
+                                  "v0_str", "delta_p_list", "temperature_tuple"])
     def test_p0_and_r0_are_floats_along_the_axis(self, kw):
-        # a non-scalar or non-finite p0 or r0 is a DomainError, never a TypeError
+        # a non-scalar or non-finite value of any field (v0 = None is auto) is a
+        # DomainError, never a TypeError
         with pytest.raises(DomainError):
             make_params(**kw)
 
