@@ -17,12 +17,10 @@ affect occupations or energies.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .decoherence import coupling_scale, log_sqrt_one_plus_sq, lorentz_weight
-from .params import DomainError, ModelParams
+from .params import ModelParams
 
-__all__ = ["mean_field_energy", "mean_photon_number", "mode_occupation"]
+__all__ = ["mean_field_energy", "mean_photon_number"]
 
 # t_seconds is a scalar or a 1-D array of times, as in decoherence and observables.
 
@@ -48,30 +46,3 @@ def mean_field_energy(params: ModelParams, p_bar: float, t_seconds):
                   * lorentz_weight(params.tau(t_seconds)) * 0.5 * p_bar * p_bar)
     return params.energy_si(e_internal)
 
-
-def mode_occupation(params: ModelParams, p_bar: float, omega: float, t_seconds,
-                    projection: float = 0.0, geometry: float = 1.0):
-    """Per-mode occupation |beta|^2 before mode summation.
-
-    omega in rad/s; projection X = k.v0/omega (|X| <= v0 < 1); geometry is the
-    coupling-geometry prefactor of the mode (polarization overlap and mode
-    volume), kept explicit because it cancels against the mode density in the
-    continuum limit. With geometry = 1 the returned kernel is
-
-        pbar^2 (1 - cos[omega t (1 - X)]) / (omega^3 (1 - X)^2)
-
-    in cutoff units, and integrating it against the continuum measure
-    (alpha/pi) w^2 e^{-w} dw (3/4)(1 - mu^2) dmu reproduces <n_pbar>.
-    Vanishes at t = 0 and at every recurrence omega t (1 - X) = 2 pi n.
-    """
-    if omega <= 0.0:
-        raise DomainError("omega must be positive")
-    if abs(projection) > params.v0:
-        raise DomainError(f"|X| = {abs(projection):.3g} exceeds v0 = {params.v0:.3g}")
-    w = omega / params.omega_cut
-    tau = params.tau(t_seconds)
-    det = 1.0 - projection
-    x = w * tau * det
-    # 1 - cos(x) via half-angle, exact zero at recurrences
-    one_minus_cos = 2.0 * np.sin(0.5 * x) ** 2
-    return geometry * p_bar * p_bar * one_minus_cos / (w**3 * det**2)

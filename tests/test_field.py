@@ -8,38 +8,12 @@ from qed_decoherence import field as fld
 from qed_decoherence import observables as obs
 from qed_decoherence.decoherence import gamma_vac_factor
 from qed_decoherence.oracle import quad_photon_continuum
-from qed_decoherence.params import DomainError
 
 from conftest import make_params
 
 
 class TestModeOccupation:
-    def test_zero_at_t0(self, default_params):
-        assert fld.mode_occupation(default_params, 0.3, 5e18, 0.0) == 0.0
-
-    def test_recurrence_zeros(self, default_params):
-        # omega t (1 - X) = 2 pi n empties the mode again; float pi leaves
-        # ~(n eps)^2 of the half-period peak
-        p = default_params
-        omega = 1e18
-        peak = fld.mode_occupation(p, 0.3, omega, math.pi / (omega * 0.95),
-                                   projection=0.05)
-        for n in (1, 2, 7):
-            t = 2.0 * math.pi * n / (omega * (1.0 - 0.05))
-            occ = fld.mode_occupation(p, 0.3, omega, t, projection=0.05)
-            assert occ <= 1e-24 * peak
-
-    def test_projection_bounded_by_v0(self, default_params):
-        with pytest.raises(DomainError, match="v0"):
-            fld.mode_occupation(default_params, 0.3, 1e18, 1e-19, projection=0.5)
-
-    def test_quadratic_in_p_bar_and_linear_in_geometry(self, default_params):
-        p = default_params
-        a = fld.mode_occupation(p, 0.1, 1e18, 3e-19)
-        b = fld.mode_occupation(p, 0.2, 1e18, 3e-19)
-        assert b == pytest.approx(4.0 * a, rel=1e-12)
-        c = fld.mode_occupation(p, 0.1, 1e18, 3e-19, geometry=2.5)
-        assert c == pytest.approx(2.5 * a, rel=1e-12)
+    """The per-mode occupation summed over the photon continuum: angles and frequencies."""
 
     def test_continuum_sum_reproduces_mean_photon_number(self, default_params):
         # angular + frequency integration of the per-mode kernel

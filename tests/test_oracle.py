@@ -1,10 +1,15 @@
 import dataclasses
+import inspect
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qed_decoherence import cli
+from qed_decoherence import cli, densmat
 from qed_decoherence import decoherence as dec
 from qed_decoherence import oracle
 from qed_decoherence.decoherence import DecoherenceFactors
@@ -22,6 +27,7 @@ from qed_decoherence.oracle import (
     quad_gamma_vac,
     quad_phase,
     quad_photon,
+    quad_photon_continuum,
     run_all,
     transform_consistency,
 )
@@ -29,6 +35,7 @@ from qed_decoherence.params import DomainError
 from qed_decoherence.quadrature import QuadratureSpec
 
 from conftest import make_params
+from reference import dense_fourier_rho_r, photon_continuum_sum
 
 TAUS = np.geomspace(1e-3, 1e6, 25)
 
@@ -140,6 +147,15 @@ class TestFrequencyOracles:
         assert e_tight <= e_loose
         assert e_tight <= 1e-10 * exact
 
+    @pytest.mark.parametrize("v0", [0.0, 1e-6, 1e-4])
+    def test_continuum_equals_one_integral_per_angular_node(self, v0):
+        # photon integral plus one Doppler correction == the 40 per-node integrals
+        for tau in TAUS:
+            r = quad_photon_continuum(tau, v0)
+            assert r.converged, f"tau={tau}"
+            ref = photon_continuum_sum(tau, v0)
+            assert abs(r.value - ref) <= 1e-15 * abs(ref), f"tau={tau}"
+
 
 class TestTransformOracle:
     def test_t0_reproduces_initial(self, fig3_params):
@@ -148,6 +164,7 @@ class TestTransformOracle:
         res = transform_consistency(packet, f0, n_p=1024)
         assert res["max_deviation_over_peak"] <= 1e-6
         assert res["stability_over_peak"] <= 1e-7
+        assert res["rho_p_deviation_over_peak"] <= 1e-14
 
     def test_decohered_time_matches_closed_form(self, fig3_params):
         packet = GaussianPacket.from_params(fig3_params)
@@ -155,6 +172,7 @@ class TestTransformOracle:
         res = transform_consistency(packet, f, n_p=1024)
         assert res["max_deviation_over_peak"] <= 1e-6
         assert res["stability_over_peak"] <= 1e-7
+        assert res["rho_p_deviation_over_peak"] <= 1e-14
 
     def test_under_resolution_detected(self, fig3_params):
         # 48 momentum points cannot carry the chirp phase at 3 tau_vac
@@ -198,6 +216,82 @@ class TestTransformOracle:
         closed = rho_r_matrix(q_grid, packet, f)
         peak = np.max(np.abs(closed))
         assert np.max(np.abs(numeric - closed)) <= 1e-6 * peak
+
+    @given(gamma=st.floats(0.0, 10.0), phi=st.floats(-10.0, 10.0),
+           p0=st.floats(-0.5, 0.5), r0=st.floats(-100.0, 100.0),
+           delta_p=st.floats(0.02, 0.3), n_p=st.integers(16, 300), n_q=st.integers(5, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_dense_sandwich(self, gamma, phi, p0, r0, delta_p, n_p, n_q):
+        # the Toeplitz convolution is the same trapezoid double sum as E rho_p E^H;
+        # gamma and phi in units of 1/delta_p^2 (3 tau_vac of fig3: 1.35 and -5.3)
+        packet = GaussianPacket(p0=p0, delta_p=delta_p, r0=r0)
+        g, ph = gamma / delta_p**2, phi / delta_p**2
+        f = DecoherenceFactors(t=1.0, gamma_vac=g, gamma_th=0.0, gamma=g, phi=ph)
+        p_grid, q_grid = default_transform_grids(packet, f, n_p=n_p, n_q=n_q)
+        numeric = fourier_rho_r(packet, f, p_grid, q_grid)
+        dense = dense_fourier_rho_r(packet, f, p_grid, q_grid)
+        assert np.max(np.abs(numeric - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_no_n_by_n_array(self, fig3_params):
+        # one 2048 x 2048 complex array is 64 MiB; the dense sandwich peaked at 83.5 MiB
+        packet = GaussianPacket.from_params(fig3_params)
+        f = DecoherenceFactors.at_time(fig3_params, fig3_time(fig3_params))
+        p_grid, q_grid = default_transform_grids(packet, f, n_p=2048, n_q=201)
+        tracemalloc.start()
+        try:
+            fourier_rho_r(packet, f, p_grid, q_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize("p_grid", [
+        np.array([0.1]),
+        np.array([]),
+        np.linspace(-0.6, 0.6, 64).reshape(8, 8),
+    ], ids=["one point", "empty", "2-D"])
+    def test_too_few_points_rejected(self, fig3_params, p_grid):
+        packet = GaussianPacket.from_params(fig3_params)
+        f = DecoherenceFactors.at_time(fig3_params, 0.0)
+        with pytest.raises(DomainError, match="at least 2 points"):
+            fourier_rho_r(packet, f, p_grid, np.linspace(-50.0, 50.0, 11))
+
+    def test_nonuniform_grid_rejected(self, fig3_params):
+        # the FFT needs G(i - j): spacings within 1e-9 of (p[-1] - p[0])/(n - 1)
+        packet = GaussianPacket.from_params(fig3_params)
+        f = DecoherenceFactors.at_time(fig3_params, fig3_time(fig3_params))
+        q_grid = np.linspace(-50.0, 50.0, 11)
+        p_grid = np.linspace(-0.6, 0.6, 257)
+        h = p_grid[1] - p_grid[0]
+        for bad in (np.concatenate([p_grid[:128], p_grid[128:] + 1e-8 * h]),
+                    -0.6 + 1.2 * np.linspace(0.0, 1.0, 257) ** 2,
+                    np.where(np.arange(257) == 200, np.nan, p_grid)):
+            with pytest.raises(DomainError, match="uniform momentum grid"):
+                fourier_rho_r(packet, f, bad, q_grid)
+        nudged = np.concatenate([p_grid[:128], p_grid[128:] + 1e-11 * h])
+        assert np.allclose(fourier_rho_r(packet, f, nudged, q_grid),
+                           fourier_rho_r(packet, f, p_grid, q_grid), rtol=0, atol=1e-12)
+
+    def test_rho_p_mutant_fails_verify(self, monkeypatch, capsys):
+        # one token of rho_p_matrix's phase, -packet.r0 -> +packet.r0: invisible to the
+        # transform (the oracle builds its own rho_p) and at r0 = 0, so it is the direct
+        # rho_p comparison on a packet with r0 != 0 that must fail verify
+        real_build = cli.cfg.build_params
+        monkeypatch.setattr(cli.cfg, "build_params",
+                            lambda resolved: dataclasses.replace(real_build(resolved), r0=0.5))
+        assert cli.main(["verify"]) == cli.EXIT_OK
+        source = inspect.getsource(densmat.rho_p_matrix)
+        mutated = source.replace("-packet.r0", "+packet.r0")
+        assert source.count("-packet.r0") == 1 and mutated != source
+        namespace = dict(vars(densmat))
+        exec(mutated, namespace)
+        monkeypatch.setattr(densmat, "rho_p_matrix", namespace["rho_p_matrix"])
+        capsys.readouterr()
+        assert cli.main(["verify"]) == cli.EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "FAILED: rho_r_transform, rho_r_transform\n" in out
+        rho_p_devs = [float(d) for d in re.findall(r"; rho_p (\S+)\]", out)]
+        assert len(rho_p_devs) == 2 and min(rho_p_devs) > 1e-6
 
 
 class TestRunAll:
@@ -246,8 +340,9 @@ class TestRunAll:
         t_grid = [default_params.seconds(tau) for tau in np.geomspace(1e-2, 1e4, 5)]
         reports = {r.quantity: r for r in run_all(default_params, t_grid)}
         assert len(calls) == len(set(calls)) == 5
-        # quad_photon is left to the continuum sum, at Doppler-shifted taus only
-        assert photon_calls and not set(photon_calls) & set(calls)
+        # quad_photon runs once per continuum tau (every fifth tau; here all five),
+        # under the continuum's Doppler correction
+        assert photon_calls == calls
         vac, photon = reports["gamma_vac"], reports["photon_number"]
         assert vac.passed and photon.passed
         assert photon.tolerance == ORACLE_CHECKS["photon_number"][1]

@@ -51,8 +51,6 @@ CASES = {
     "field.mean_photon_number": (lambda t: fld.mean_photon_number(PARAMS, 0.2, t), T_GRID),
     "field.mean_field_energy": (lambda t: fld.mean_field_energy(PARAMS, 0.2, t), T_GRID),
     "field.field_mass_shift": (lambda t: -2.0 * obs.mass_shift(PARAMS, t), T_GRID),
-    "field.mode_occupation":
-        (lambda t: fld.mode_occupation(PARAMS, 0.2, 3e18, t, projection=0.05), T_GRID),
 }
 
 
