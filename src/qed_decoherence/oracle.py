@@ -7,8 +7,11 @@ or, for the coordinate-space density matrix, a direct double Fourier
 transform: the plain trapezoid double sum over rho_p written from its
 definition, so the phase conventions stay manifestly identical to the
 analytic transform, evaluated as a Toeplitz convolution (one FFT per row;
-numpy.fft is loaded on the first call, not at import). The momentum matrix
-densmat builds is checked element by element against that same rho_p.
+numpy.fft is loaded on the first call, not at import). The transform streams
+its q rows in cache-sized blocks through one reused buffer and writes its
+phases in place, so no N x N and no (n_q, 2N) array is formed. The momentum
+matrix densmat builds is checked element by element against that same rho_p,
+also a block of rows at a time.
 
 The oracles never call the closed forms they check.
 """
@@ -199,6 +202,16 @@ def quad_field_energy(tau: float) -> QuadResult:
         "cos", lambda wmax: 2.0 * math.exp(-wmax))
 
 
+@functools.cache
+def _angular_rule() -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes mu_k, weights c_k = (3/4) w_k (1 - mu_k^2) and C = sum_k c_k of the
+    40-node Gauss-Legendre rule of quad_photon_continuum, built once (read-only)."""
+    mu, wts = np.polynomial.legendre.leggauss(40)
+    c = 0.75 * wts * (1.0 - mu * mu)
+    mu.flags.writeable = c.flags.writeable = False
+    return mu, c, float(np.sum(c))
+
+
 def quad_photon_continuum(tau: float, v0: float = 0.0) -> QuadResult:
     """Angular + frequency continuum sum of the per-mode occupation.
 
@@ -223,9 +236,7 @@ def quad_photon_continuum(tau: float, v0: float = 0.0) -> QuadResult:
     """
     if not 0.0 <= v0 < 1.0:
         raise DomainError("v0 must be in [0, 1)")
-    mu, wts = np.polynomial.legendre.leggauss(40)
-    c = 0.75 * wts * (1.0 - mu * mu)
-    c_total = float(np.sum(c))
+    mu, c, c_total = _angular_rule()
     shift = tau * v0 * mu
 
     def doppler(w):
@@ -284,16 +295,27 @@ def fourier_rho_r(packet: GaussianPacket, factors: DecoherenceFactors,
     E_qi = e^{i r_q p_i}, the sum is (B G) B^H / 2 pi. Each row of B G is a
     linear convolution with the symmetric kernel G, done by one zero-padded FFT
     of length 2N through the circulant embedding of G (Golub & Van Loan,
-    Matrix Computations, 4th ed., 2013), so no N x N array is formed. q
-    values are displacements; the absolute positions r = q + r0 carry the
-    transform phases so the packet's own r0 phase cancels exactly as in the
-    analytic calculation.
+    Matrix Computations, 4th ed., 2013). q values are displacements; the
+    absolute positions r = q + r0 carry the transform phases so the packet's
+    own r0 phase cancels exactly as in the analytic calculation.
+
+    E's phases r_q p_i are written into B's imaginary part and turned into
+    cos and sin in place. The q rows are then streamed in blocks of ~1 MiB
+    (at least 16 rows): each block is convolved in one reused (rows, 2N)
+    buffer, FFT, spectrum product and inverse FFT in place, and contracted
+    straight into its rows of the result as conj(conj(B G) B^T), so neither an
+    N x N nor an (n_q, 2N) array, nor B^H, is ever formed.
     """
     p = np.asarray(p_grid, dtype=float)
     b, kernel = _rho_p_factors(packet, factors, p)
     n = len(p)
     r = np.asarray(q_grid, dtype=float) + packet.r0
-    bw = np.exp(1j * np.outer(r, p))
+    n_q = len(r)
+    # E in place: cos and sin of the phases give the bits of exp(1j r_q p_i)
+    bw = np.empty((n_q, n), dtype=complex)
+    np.multiply.outer(r, p, out=bw.imag)
+    np.cos(bw.imag, out=bw.real)
+    np.sin(bw.imag, out=bw.imag)
     bw *= b * trapezoid_weights(p)
     # G(i - j) is the leading n x n block of the circulant of size 2n whose first
     # column is G(0..n-1), a zero, then the wrap-around half G(n-1..1); that column
@@ -303,8 +325,21 @@ def fourier_rho_r(packet: GaussianPacket, factors: DecoherenceFactors,
     column[:n] = kernel
     column[size - n + 1:] = kernel[:0:-1]
     spectrum = np.fft.fft(column).real
-    bg = np.fft.ifft(np.fft.fft(bw, size, axis=1) * spectrum, axis=1)[:, :n]
-    return (bg @ bw.conj().T) / (2.0 * math.pi)
+    out = np.empty((n_q, n_q), dtype=complex)
+    rows = max(16, densmat._BLOCK_BYTES // (16 * size))
+    buf = np.empty((min(rows, n_q), size), dtype=complex)
+    for lo in range(0, n_q, rows):
+        hi = min(lo + rows, n_q)
+        bg = buf[:hi - lo]
+        np.fft.fft(bw[lo:hi], size, axis=1, out=bg)
+        bg *= spectrum
+        np.fft.ifft(bg, axis=1, out=bg)
+        # rows of (B G) B^H, conjugated: conj(B G) B^T needs no copy of B^H
+        np.conjugate(bg, out=bg)
+        np.matmul(bg[:, :n], bw.T, out=out[lo:hi])
+    np.conjugate(out, out=out)
+    out /= 2.0 * math.pi
+    return out
 
 
 def default_transform_grids(packet: GaussianPacket, factors: DecoherenceFactors,
@@ -322,7 +357,8 @@ def _rho_p_deviation(packet: GaussianPacket, factors: DecoherenceFactors,
                      p_grid: np.ndarray) -> float:
     """Peak-relative max deviation of densmat.rho_p_matrix from the oracle's own
     b_i G(|i - j|) conj(b_j) (_rho_p_factors), element by element. The reference
-    is built ~1 MiB of rows at a time, G(|i - j|) read from a strided Toeplitz view."""
+    is built densmat's ~1 MiB of rows at a time in one reused complex and one
+    reused real buffer, G(|i - j|) read from a strided Toeplitz view."""
     grid = densmat.rho_p_matrix(p_grid, packet, factors)
     b, kernel = _rho_p_factors(packet, factors, np.asarray(p_grid, dtype=float))
     n = len(b)
@@ -330,14 +366,18 @@ def _rho_p_deviation(packet: GaussianPacket, factors: DecoherenceFactors,
     toeplitz = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([kernel[:0:-1], kernel]), n)[::-1]
     b_conj = b.conj()
-    rows = max(1, (1 << 20) // (16 * n))
+    rows = densmat._block_rows(n)
+    cbuf = np.empty((min(rows, n), n), dtype=complex)
+    rbuf = np.empty((min(rows, n), n))
     worst = peak = 0.0
     for lo in range(0, n, rows):
-        ref = np.multiply.outer(b[lo:lo + rows], b_conj)
-        ref *= toeplitz[lo:lo + rows]
-        peak = max(peak, float(np.max(np.abs(ref))))
-        ref -= grid[lo:lo + rows]
-        worst = max(worst, float(np.max(np.abs(ref))))
+        hi = min(lo + rows, n)
+        ref, mag = cbuf[:hi - lo], rbuf[:hi - lo]
+        np.multiply.outer(b[lo:hi], b_conj, out=ref)
+        ref *= toeplitz[lo:hi]
+        peak = max(peak, float(np.max(np.abs(ref, out=mag))))
+        ref -= grid[lo:hi]
+        worst = max(worst, float(np.max(np.abs(ref, out=mag))))
     return worst / peak
 
 
@@ -474,11 +514,11 @@ def run_all(params: ModelParams, t_grid_seconds, include_transform: bool = False
                thermal_tolerance(theta, 1e-7), taus,
                detail=f"k_BT << hbar Omega form at theta = {theta:.3g}")
     # at T = 0 (theta = inf) the thermal term is log_sinhc(0) = 0, the tolerance
-    # is the base one and the quadrature is the vacuum integral
+    # is the base one and the quadrature is the vacuum integral, already integrated
     gather("gamma_total_spectral",
            lambda tau: decoherence.log_sqrt_one_plus_sq(tau)
            + decoherence.log_sinhc(math.pi * tau / theta),
-           lambda tau: quad_gamma_total(tau, theta),
+           quad_vac if math.isinf(theta) else lambda tau: quad_gamma_total(tau, theta),
            thermal_tolerance(theta, ORACLE_CHECKS["gamma_total_spectral"][1]), taus,
            detail="" if params.temperature > 0.0 else "T = 0: coth = 1 branch")
 

@@ -35,9 +35,8 @@ import numpy as np
 from .constants import BOLTZMANN, ELECTRON_MASS, FINE_STRUCTURE, HBAR, SPEED_OF_LIGHT
 
 __all__ = ["DipoleValidityWarning", "DomainError", "ModelParams", "Timescales",
-           "thermal_decoherence_time", "thermal_time", "transition_time",
-           "vacuum_decoherence_time", "vacuum_thermal_crossover", "validity_bound",
-           "validity_window"]
+           "thermal_decoherence_time", "thermal_time", "vacuum_decoherence_time",
+           "vacuum_thermal_crossover", "validity_bound", "validity_window"]
 
 
 class DomainError(ValueError):
@@ -215,7 +214,7 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def transition_time(omega_cut: float, tau_F: float) -> float:
+def _transition_time(omega_cut: float, tau_F: float) -> float:
     """Late root of ln(Omega t) = t / tau_F, seconds.
 
     The equation has two crossings when Omega tau_F >> e: an early one near
@@ -296,7 +295,7 @@ def validity_window(params: ModelParams) -> Timescales:
         tau_F = thermal_time(params.temperature)
         w = params.omega_cut * tau_F
         tau_p = vacuum_thermal_crossover(params.omega_cut, tau_F) if w > math.e else math.nan
-        tau_p_log = transition_time(params.omega_cut, tau_F) if w > math.e else math.nan
+        tau_p_log = _transition_time(params.omega_cut, tau_F) if w > math.e else math.nan
     else:
         tau_F = math.inf
         tau_p = math.inf

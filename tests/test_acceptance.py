@@ -18,8 +18,8 @@ from qed_decoherence import oracle
 from qed_decoherence.decoherence import DecoherenceFactors
 from qed_decoherence.densmat import GaussianPacket, rho_p_matrix, rho_r_matrix, width_t, z_factor
 from qed_decoherence.params import (
+    _transition_time,
     thermal_time,
-    transition_time,
     vacuum_thermal_crossover,
 )
 
@@ -136,7 +136,7 @@ def test_criterion_07_reference_timescales():
     residual_cross = abs(gv - gt) / gv
 
     # and the approximate defining equation ln(Omega t) = t/tau_F
-    tau_p_log = transition_time(1e19, tau_F)
+    tau_p_log = _transition_time(1e19, tau_F)
     residual_log = abs(math.log(1e19 * tau_p_log) - tau_p_log / tau_F) / (
         tau_p_log / tau_F)
 

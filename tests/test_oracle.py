@@ -232,18 +232,46 @@ class TestTransformOracle:
         dense = dense_fourier_rho_r(packet, f, p_grid, q_grid)
         assert np.max(np.abs(numeric - dense)) <= 1e-12 * np.max(np.abs(dense))
 
+    @pytest.mark.parametrize("n_q", [1, 17, 33, 201])
+    @pytest.mark.parametrize("n_p", [1024, 2048])
+    def test_row_blocks_equal_dense_sandwich(self, fig3_params, n_p, n_q):
+        # the q rows stream in blocks of 32 (N = 1024) or 16 (N = 2048): one row,
+        # one past a block, and the verify grid's 201 with a ragged last block;
+        # the n_q middle points of the verify grid keep the packet's peak in view
+        p = dataclasses.replace(fig3_params, p0=0.05, r0=0.5)
+        packet = GaussianPacket.from_params(p)
+        f = DecoherenceFactors.at_time(p, fig3_time(p))
+        p_grid, q_full = default_transform_grids(packet, f, n_p=n_p)
+        lo = (len(q_full) - n_q) // 2
+        q_grid = q_full[lo:lo + n_q]
+        numeric = fourier_rho_r(packet, f, p_grid, q_grid)
+        dense = dense_fourier_rho_r(packet, f, p_grid, q_grid)
+        assert numeric.shape == (n_q, n_q)
+        assert np.max(np.abs(numeric - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @staticmethod
+    def _traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_no_n_by_n_array(self, fig3_params):
-        # one 2048 x 2048 complex array is 64 MiB; the dense sandwich peaked at 83.5 MiB
+        # one 2048 x 2048 complex array is 64 MiB, one 201 x 4096 complex array 12.6 MiB;
+        # the streamed call holds B (6.3 MiB) and one ~1 MiB row block (8.2 MiB traced)
         packet = GaussianPacket.from_params(fig3_params)
         f = DecoherenceFactors.at_time(fig3_params, fig3_time(fig3_params))
         p_grid, q_grid = default_transform_grids(packet, f, n_p=2048, n_q=201)
-        tracemalloc.start()
-        try:
-            fourier_rho_r(packet, f, p_grid, q_grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 * 2**20
+        assert self._traced_peak(fourier_rho_r, packet, f, p_grid, q_grid) < 12 * 2**20
+
+    def test_transform_consistency_peak(self, fig3_params):
+        # the 1024 x 1024 rho_p grid of the direct rho_p check (16 MiB) sets the
+        # peak (19.2 MiB traced); whole-array FFTs of the 2048 grid peaked at 32.4 MiB
+        packet = GaussianPacket.from_params(fig3_params)
+        f = DecoherenceFactors.at_time(fig3_params, fig3_time(fig3_params))
+        assert self._traced_peak(transform_consistency, packet, f) < 20 * 2**20
 
     @pytest.mark.parametrize("p_grid", [
         np.array([0.1]),
@@ -347,6 +375,21 @@ class TestRunAll:
         assert vac.passed and photon.passed
         assert photon.tolerance == ORACLE_CHECKS["photon_number"][1]
         assert (photon.oracle, photon.panels) == (vac.oracle, vac.panels)
+
+    def test_vacuum_integral_shared_at_t0(self, monkeypatch):
+        # at T = 0 gamma_total_spectral is the vacuum integral too: one
+        # quad_gamma_vac per tau serves gamma_vac, photon_number and it
+        calls = []
+        real_vac = oracle.quad_gamma_vac
+        monkeypatch.setattr(oracle, "quad_gamma_vac",
+                            lambda tau: calls.append(tau) or real_vac(tau))
+        p0 = make_params(temperature=0.0)
+        t_grid = [p0.seconds(tau) for tau in np.geomspace(1e-2, 1e4, 5)]
+        reports = {r.quantity: r for r in run_all(p0, t_grid)}
+        assert len(calls) == len(set(calls)) == 5
+        vac, total = reports["gamma_vac"], reports["gamma_total_spectral"]
+        assert vac.passed and total.passed
+        assert (total.oracle, total.panels) == (vac.oracle, vac.panels)
 
     def test_unconverged_oracle_is_a_failure(self, default_params, monkeypatch, capsys):
         # every frequency oracle leaves its cycle sums to oscillatory at tau = 1e3

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qed_decoherence.params import (
+    _transition_time,
     DipoleValidityWarning,
     DomainError,
     ModelParams,
     thermal_time,
-    transition_time,
     vacuum_decoherence_time,
     vacuum_thermal_crossover,
     thermal_decoherence_time,
@@ -49,22 +49,22 @@ class TestThermalTime:
 class TestTransitionTime:
     def test_residual_is_a_root(self):
         tau_F = thermal_time(1.0)
-        tp = transition_time(1e19, tau_F)
+        tp = _transition_time(1e19, tau_F)
         residual = math.log(1e19 * tp) - tp / tau_F
         assert abs(residual) / (tp / tau_F) < 1e-10
 
     def test_value_at_1K(self):
         # frozen from mpmath bisection of ln(1e19 t) = t/tau_F, larger root
-        tp = transition_time(1e19, thermal_time(1.0))
+        tp = _transition_time(1e19, thermal_time(1.0))
         assert tp == pytest.approx(4.8632293770430355e-11, rel=1e-10)
 
     def test_300K_root(self):
-        tp = transition_time(1e19, thermal_time(300.0))
+        tp = _transition_time(1e19, thermal_time(300.0))
         assert tp == pytest.approx(1.1295384288074824e-13, rel=1e-10)
 
     def test_no_crossing_reports_omega_tau_F(self):
         with pytest.raises(DomainError, match="Omega tau_F"):
-            transition_time(1e19, 1e-20)
+            _transition_time(1e19, 1e-20)
 
 
 class TestCrossover:
