@@ -95,28 +95,37 @@ class _Table:
         return self.shape[0] * self.shape[1]
 
 
+def _csv_text(column: np.ndarray) -> np.ndarray:
+    """A text column, each value that holds a comma, a double quote or a line break
+    made an RFC 4180 field: put in double quotes, with its own quotes doubled."""
+    fields = ['"' + v.replace('"', '""') + '"' if any(ch in v for ch in ',"\r\n') else v
+              for v in column.ravel().tolist()]
+    return np.array(fields, dtype=str).reshape(column.shape)
+
+
 def write_csv(out, comments: list[str], header: list[str], rows, sigfigs: int) -> None:
     """Write a CSV to the path `out`, or to stdout when it is None. rows is a
     _Table (see _table) or a list of rows. Each column has one printf format:
     %s for text, %d for integers, %.{sigfigs-1}e for floats (which writes nan
-    and inf as such). Key columns are formatted once per value, into one
-    template per block of an outer row's lines that its cells fill."""
+    and inf as such), text quoted by _csv_text. Key columns are formatted once per
+    value, into one template per block of an outer row's lines that its cells fill."""
     if isinstance(rows, _Table):
         table = rows
     else:
         records = np.rec.fromrecords(rows, names=header)
         table = _Table([records[name] for name in header])
     n_outer, n_inner = table.shape
-    fmts = [_COLUMN_FORMATS.get(c.dtype.kind, f"%.{sigfigs - 1}e") for c in table.columns]
+    columns = [_csv_text(c) if c.dtype.kind == "U" else c for c in table.columns]
+    fmts = [_COLUMN_FORMATS.get(c.dtype.kind, f"%.{sigfigs - 1}e") for c in columns]
     ends = [","] * (len(fmts) - 1) + ["\n"]
     # outer keys from the first one on are written once per outer row, between the inner
     # text before them (heads) and after them (tails); a later outer key is a cell
     kinds = ["cell" if c.shape == table.shape else "outer" if c.shape[1] == 1 else "inner"
-             for c in table.columns]
+             for c in columns]
     first = kinds.index("outer") if "outer" in kinds else len(kinds)
     last = next((k for k in range(first, len(kinds)) if kinds[k] != "outer"), len(kinds))
     kinds[last:] = ["cell" if k == "outer" else k for k in kinds[last:]]
-    cells = [np.broadcast_to(c, table.shape) for c, k in zip(table.columns, kinds) if k == "cell"]
+    cells = [np.broadcast_to(c, table.shape) for c, k in zip(columns, kinds) if k == "cell"]
 
     def texts(ks, n, axis):
         """The text of columns ks on each of the n rows of an axis: a key's values,
@@ -128,7 +137,7 @@ def write_csv(out, comments: list[str], header: list[str], rows, sigfigs: int) -
             if kinds[k] == "cell":
                 parts.append([fmts[k] + ends[k]] * n)
                 continue
-            values = table.columns[k][:, 0] if axis == 0 else table.columns[k][0]
+            values = columns[k][:, 0] if axis == 0 else columns[k][0]
             keys = [(fmts[k] % v).replace("%", "%%") + ends[k] for v in values.tolist()]
             parts.append(keys if len(keys) == n else keys * n)
         return ["".join(line) for line in zip(*parts)]
@@ -326,8 +335,7 @@ def cmd_timescales(args) -> int:
     ]
     lines = [f"{'quantity':44s} {'seconds':>16s} {'Omega t':>16s}"]
     for name, val in rows:
-        tau = val * params.omega_cut if math.isfinite(val) else val
-        lines.append(f"{name:44s} {_fmt(val, 8):>16s} {_fmt(tau, 8):>16s}")
+        lines.append(f"{name:44s} {_fmt(val, 8):>16s} {_fmt(val * params.omega_cut, 8):>16s}")
     if math.isinf(ts.tau_vac) and math.isfinite(ts.tau_vac_log):
         lines.append(f"{'  ln(tau_vac / s) (overflow-safe)':44s} "
                      f"{_fmt(ts.tau_vac_log, 8):>16s} {'':>16s}")
@@ -337,8 +345,7 @@ def cmd_timescales(args) -> int:
         write_csv(args.out,
                   ["qed-decoherence timescales", *cfg.provenance_lines(args.resolved)],
                   ["quantity", "seconds", "t_omega"],
-                  [[n, v, v * params.omega_cut if math.isfinite(v) else math.inf]
-                   for n, v in rows], args.sigfigs)
+                  [[n, v, v * params.omega_cut] for n, v in rows], args.sigfigs)
     return EXIT_OK
 
 
@@ -352,7 +359,7 @@ def verification_reports(params: ModelParams):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DipoleValidityWarning)
         reference = cfg.build_params(cfg.resolve(_FIGURE_PRESETS["fig3"]))
-    return oracle.run_all(params, t_grid, include_transform=True, transform_params=reference)
+    return oracle.run_all(params, t_grid) + oracle.transform_reports(reference)
 
 
 def cmd_verify(args) -> int:

@@ -33,7 +33,7 @@ from .params import DomainError, ModelParams, _caller_stacklevel
 __all__ = [
     "DecoherenceFactors", "coupling_scale", "gamma_th_factor", "gamma_vac_factor",
     "log_sinhc", "log_sqrt_one_plus_sq", "lorentz_weight", "lorentz_weight_slope",
-    "phase_factor", "spectral_density", "tau_minus_arctan",
+    "phase_factor", "tau_minus_arctan",
 ]
 
 
@@ -157,21 +157,6 @@ def phase_factor(params: ModelParams, t_seconds):
     tau = params.tau(t_seconds)
     interaction = coupling_scale(params.alpha) * tau_minus_arctan(tau)
     return interaction - 0.5 * tau / params.epsilon
-
-
-def spectral_density(params: ModelParams, omega: float, dp: float) -> float:
-    """Ohmic spectral density J(omega) = (2a/3pi) dp^2 omega e^{-omega/Omega}.
-
-    omega in rad/s, dp in m0 c; the returned density carries the rad/s of
-    omega (the dp^2/m0^2 c^2 part is dimensionless internally). Linear in
-    omega below the cutoff, which is what makes the damping of coherences
-    frequency independent.
-    """
-    if omega < 0.0:
-        raise DomainError("omega must be >= 0")
-    return (
-        coupling_scale(params.alpha) * dp * dp * omega * math.exp(-omega / params.omega_cut)
-    )
 
 
 @dataclass(frozen=True)

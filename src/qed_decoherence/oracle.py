@@ -13,7 +13,8 @@ phases in place, so no N x N and no (n_q, 2N) array is formed. The momentum
 matrix densmat builds is checked element by element against that same rho_p,
 also a block of rows at a time.
 
-The oracles never call the closed forms they check.
+The oracles never call the closed forms they check. Their policy is stated once:
+the frequency cutoff and oscillation threshold below, the tolerances in ORACLE_CHECKS.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ __all__ = ["ORACLE_CHECKS", "GridResolutionError", "OracleReport", "default_tran
            "transform_consistency"]
 
 DEFAULT_SPEC = QuadratureSpec()
+_CUTOFF_MULTIPLE = 50.0         # every frequency integral ends at w = 50, omega = 50 Omega
+_OSCILLATION_THRESHOLD = 10.0   # above this tau the cycles go to per-period handling
 _N_P = 1024   # momentum points of the transform oracle; its stability check doubles them
 
 
@@ -110,8 +113,7 @@ def _frequency_integral(tau: float, theta: float, kind: str | None, combined, en
     """
     if tau <= 0.0:
         raise DomainError("oracle quadratures need t > 0")
-    spec = DEFAULT_SPEC
-    wmax = spec.cutoff_multiple
+    spec, wmax = DEFAULT_SPEC, _CUTOFF_MULTIPLE
     fixed = (1.0, 5.0, 20.0)    # the scales of e^-w
     if kind is None:
         ell = wc = 0.0
@@ -130,7 +132,7 @@ def _frequency_integral(tau: float, theta: float, kind: str | None, combined, en
             pts += [c / theta for c in (0.2, 2.0, 20.0, 200.0)]
         return tuple(pts)
 
-    if tau <= spec.oscillation_threshold:
+    if tau <= _OSCILLATION_THRESHOLD:
         h = math.pi / tau
         half = tuple(ell + k * h for k in range(1, 80)) if tau > 2.0 else ()
         result = head + adaptive(combined, ell, wmax, spec,
@@ -435,11 +437,12 @@ class OracleReport:
                    rel_err if closed != 0.0 else abs_err, tolerance, panels, passed, detail)
 
 
-# quantity -> (closed-form home, declared tolerance); coverage is asserted in tests
+# quantity -> (closed-form home, tolerance), each tolerance applied as written, or as the
+# base of thermal_tolerance by the two thermal checks; coverage is asserted in tests
 ORACLE_CHECKS = {
     "gamma_vac": ("decoherence.gamma_vac_factor", 1e-8),
-    "gamma_th": ("decoherence.gamma_th_factor", 1e-3),
-    "gamma_total_spectral": ("decoherence.spectral_density -> Gamma", 1e-6),
+    "gamma_th": ("decoherence.gamma_th_factor", 1e-7),
+    "gamma_total_spectral": ("decoherence.gamma_vac_factor + gamma_th_factor", 1e-6),
     "phase_xi": ("decoherence.phase_factor interaction part", 1e-8),
     "photon_number": ("field.mean_photon_number", 1e-8),
     "photon_continuum": ("field.mean_photon_number (angular continuum)", 1e-6),
@@ -454,7 +457,8 @@ def thermal_tolerance(theta: float, base: float) -> float:
     """Approximation-limited tolerance for the k_B T << hbar Omega closed forms.
 
     Their relative deviation from the full-coth integral scales like 10/theta
-    (1e-3 at the theta = 1e4 anchor); below that the quadrature floor applies.
+    (1e-3 at the theta = 1e4 anchor); below that the base, the quadrature floor
+    that ORACLE_CHECKS declares, applies.
     The closed forms stop being meaningful references for theta < ~100, where
     the assumption itself is flagged.
     """
@@ -470,16 +474,19 @@ def _worst(reports: list[OracleReport]) -> OracleReport:
     return worst
 
 
-def run_all(params: ModelParams, t_grid_seconds, include_transform: bool = False,
-            transform_params: ModelParams | None = None) -> list[OracleReport]:
-    """Every oracle against its closed form, aggregated to one worst-case
-    report per quantity. Per-quantity failures are collected, never raised."""
+def run_all(params: ModelParams, t_grid_seconds) -> list[OracleReport]:
+    """Every frequency oracle and identity check (not the transform: transform_reports)
+    against its closed form, aggregated to one worst-case report per quantity at its
+    ORACLE_CHECKS tolerance. Per-quantity failures are collected, never raised."""
     taus = params.tau(np.asarray(t_grid_seconds, dtype=float)).tolist()
     theta = params.theta
     p_bar = abs(params.p0) or params.delta_p
     reports: list[OracleReport] = []
 
-    def gather(quantity, closed_fn, quad_fn, tol, grid, detail=""):
+    def gather(quantity, closed_fn, quad_fn, grid, detail=""):
+        tol = ORACLE_CHECKS[quantity][1]
+        if quantity in ("gamma_th", "gamma_total_spectral"):
+            tol = thermal_tolerance(theta, tol)
         rows = []
         for tau in grid:
             try:
@@ -499,27 +506,20 @@ def run_all(params: ModelParams, t_grid_seconds, include_transform: bool = False
     # the vacuum factor and the photon number share one frequency integral:
     # integrate it once per tau and check both closed forms against it
     quad_vac = functools.lru_cache(maxsize=None)(quad_gamma_vac)
-    gather("gamma_vac", decoherence.log_sqrt_one_plus_sq,
-           quad_vac, ORACLE_CHECKS["gamma_vac"][1], taus)
-    gather("phase_xi", decoherence.tau_minus_arctan,
-           quad_phase, ORACLE_CHECKS["phase_xi"][1], taus)
-    gather("photon_number", lambda tau: math.log1p(tau * tau) / 2.0,
-           quad_vac, ORACLE_CHECKS["photon_number"][1], taus)
-    gather("field_energy", decoherence.lorentz_weight,
-           quad_field_energy, ORACLE_CHECKS["field_energy"][1], taus)
+    gather("gamma_vac", decoherence.log_sqrt_one_plus_sq, quad_vac, taus)
+    gather("phase_xi", decoherence.tau_minus_arctan, quad_phase, taus)
+    gather("photon_number", lambda tau: math.log1p(tau * tau) / 2.0, quad_vac, taus)
+    gather("field_energy", decoherence.lorentz_weight, quad_field_energy, taus)
     if params.temperature > 0.0:
-        gather("gamma_th",
-               lambda tau: decoherence.log_sinhc(math.pi * tau / theta),
-               lambda tau: quad_gamma_th(tau, theta),
-               thermal_tolerance(theta, 1e-7), taus,
+        gather("gamma_th", lambda tau: decoherence.log_sinhc(math.pi * tau / theta),
+               lambda tau: quad_gamma_th(tau, theta), taus,
                detail=f"k_BT << hbar Omega form at theta = {theta:.3g}")
     # at T = 0 (theta = inf) the thermal term is log_sinhc(0) = 0, the tolerance
     # is the base one and the quadrature is the vacuum integral, already integrated
     gather("gamma_total_spectral",
            lambda tau: decoherence.log_sqrt_one_plus_sq(tau)
            + decoherence.log_sinhc(math.pi * tau / theta),
-           quad_vac if math.isinf(theta) else lambda tau: quad_gamma_total(tau, theta),
-           thermal_tolerance(theta, ORACLE_CHECKS["gamma_total_spectral"][1]), taus,
+           quad_vac if math.isinf(theta) else lambda tau: quad_gamma_total(tau, theta), taus,
            detail="" if params.temperature > 0.0 else "T = 0: coth = 1 branch")
 
     # angular + frequency continuum: small v0 keeps the O(v0^2) residual
@@ -527,8 +527,7 @@ def run_all(params: ModelParams, t_grid_seconds, include_transform: bool = False
     v0c = min(params.v0, 1e-4)
     cont_taus = taus[:: max(1, len(taus) // 5)]
     gather("photon_continuum", lambda tau: math.log1p(tau * tau) / 2.0,
-           lambda tau: quad_photon_continuum(tau, v0c),
-           ORACLE_CHECKS["photon_continuum"][1], cont_taus,
+           lambda tau: quad_photon_continuum(tau, v0c), cont_taus,
            detail=f"v0 = {v0c:g}, 40-node angular rule")
 
     # cross-module identity routes
@@ -542,10 +541,6 @@ def run_all(params: ModelParams, t_grid_seconds, include_transform: bool = False
         reports.append(_worst([
             OracleReport.compare(quantity, float(c), float(i), ORACLE_CHECKS[quantity][1], 0,
                                  detail=detail) for c, i in zip(closed, ident)]))
-
-    if include_transform:
-        tp = transform_params if transform_params is not None else params
-        reports.extend(transform_reports(tp))
     return reports
 
 

@@ -74,13 +74,12 @@ _PANELS_AHEAD = 16
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and structural knobs for the oracle quadratures."""
+    """Tolerances and panel budgets of adaptive and oscillatory. Where the
+    oracles cut and split their integrals is the oracle's own policy."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 4000
-    cutoff_multiple: float = 50.0      # omega_max = multiple * Omega
-    oscillation_threshold: float = 10.0  # switch to per-period handling above this tau
     max_cycles: int = 4000             # half-period panels before giving up
 
 

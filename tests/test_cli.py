@@ -1,3 +1,5 @@
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +35,12 @@ def read_csv(path):
         else:
             rows.append(line.split(","))
     return comments, header, rows
+
+
+def csv_records(path):
+    """Header and rows of a written CSV, parsed by csv.reader past its # comments."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))
 
 
 class TestConfig:
@@ -320,6 +328,24 @@ class TestTimescales:
         assert header == ["quantity", "seconds", "t_omega"]
         names = {r[0] for r in rows}
         assert any("tau_F" in n for n in names)
+
+    def test_t_omega_is_seconds_times_omega_even_where_nan(self, tmp_path, capsys):
+        # at 1e7 K both tau_p are nan: Omega t is nan in the CSV as on stdout, and an
+        # infinite time (tau_vac) stays inf
+        out = tmp_path / "ts.csv"
+        assert run_cli("timescales", "--temperature-K", "1e7", "--out", str(out)) == 0
+        printed = capsys.readouterr().out.splitlines()
+        header, *rows = csv_records(out)
+        assert header == ["quantity", "seconds", "t_omega"]
+        omega = DEFAULTS["omega_cut_rad_s"]
+        for name, seconds, t_omega in rows:
+            want = float(seconds) * omega
+            got = float(t_omega)
+            assert got == pytest.approx(want, rel=1e-11) or (math.isnan(got) and math.isnan(want))
+        tau_p = [r for r in rows if r[0].startswith("tau_p")]
+        assert [r[1:] for r in tau_p] == [["nan", "nan"]] * 2
+        assert sum(line.startswith("tau_p") and line.split()[-2:] == ["nan", "nan"]
+                   for line in printed) == 2
 
 
 class TestVerify:
@@ -615,6 +641,30 @@ class TestCsvWriter:
         assert path == str(out)
         data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
         assert len(rows) == len(data)
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--t-points", "5"), ("figure", "fig1"), ("figure", "fig2"), ("figure", "fig3"),
+        ("figure", "fig4"), ("rho", "--rep", "p", "--t-s", "1e-19", "--points", "5"),
+        ("rho", "--rep", "r", "--t-s", "1e-19", "--points", "5"), ("timescales",),
+        ("timescales", "--temperature-K", "1e7"), ("verify",),
+    ])
+    def test_every_out_file_has_rows_as_wide_as_its_header(self, argv, tmp_path):
+        # verify's photon_continuum detail and timescales' tau_p label hold commas
+        out = tmp_path / "x.csv"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        header, *rows = csv_records(out)
+        assert rows and {len(row) for row in rows} == {len(header)}
+
+    def test_text_with_a_comma_quote_or_line_break_is_quoted(self, tmp_path):
+        texts = ["plain", "a, b", 'say "hi"', "two\nlines", "5%, %s", ""]
+        out = tmp_path / "x.csv"
+        cli.write_csv(str(out), ["c"], ["text", "x"], [[t, 1.0] for t in texts], 3)
+        assert csv_records(out) == [["text", "x"], *([t, "1.00e+00"] for t in texts)]
+        assert '"a, b",' in out.read_text(encoding="utf-8")
+        # the same text as an outer key, formatted once per value
+        table = cli._table(["label", "x"], [np.array(texts)[:, None], np.array([1.0, 2.0])])
+        cli.write_csv(str(out), [], ["label", "x"], table, 2)
+        assert csv_records(out)[1:] == [[t, x] for t in texts for x in ("1.0e+00", "2.0e+00")]
 
     def test_domain_error_writes_nothing(self, calls, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -13,7 +13,6 @@ from qed_decoherence.decoherence import (
     gamma_th_factor,
     gamma_vac_factor,
     phase_factor,
-    spectral_density,
 )
 from qed_decoherence.observables import snapshot
 from qed_decoherence.params import thermal_time, vacuum_thermal_crossover
@@ -190,22 +189,6 @@ class TestPhase:
         lhs = phase_of(p, pa, t) - phase_of(p, pb, t)
         rhs = (phase_factor(p, t) + 0.5 * p.tau(t) / p.epsilon) * (pa**2 - pb**2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-class TestSpectralDensity:
-    def test_zero_at_zero_frequency(self, default_params):
-        assert spectral_density(default_params, 0.0, 0.2) == 0.0
-
-    def test_ohmic_linear_below_cutoff(self, default_params):
-        p = default_params
-        j1 = spectral_density(p, 1e12, 0.2)
-        j2 = spectral_density(p, 2e12, 0.2)
-        assert j2 / j1 == pytest.approx(2.0, rel=1e-6)
-
-    def test_quadratic_in_momentum_difference(self, default_params):
-        p = default_params
-        assert spectral_density(p, 1e15, 0.4) == pytest.approx(
-            4.0 * spectral_density(p, 1e15, 0.2), rel=1e-14)
 
 
 class TestCrossoverInvariant:

@@ -330,14 +330,26 @@ class TestRunAll:
         assert not failed, failed
 
     def test_coverage_enumeration(self, default_params):
-        # every registered closed form shows up exactly once per run (transform
-        # reports appear twice: both figure times)
+        # every registered closed form shows up in verify's sweep, run_all's
+        # reports and then the transform's (twice: both figure times)
         t_grid = [default_params.seconds(tau) for tau in np.geomspace(1e-2, 1e4, 5)]
         fig3 = make_params(alpha=150.0, p0=0.0, delta_p=0.1)
-        reports = run_all(default_params, t_grid, include_transform=True,
-                          transform_params=fig3)
-        seen = {r.quantity for r in reports}
-        assert seen == set(ORACLE_CHECKS)
+        reports = run_all(default_params, t_grid) + oracle.transform_reports(fig3)
+        seen = [r.quantity for r in reports]
+        assert set(seen) == set(ORACLE_CHECKS)
+        assert seen[-2:] == ["rho_r_transform"] * 2 and len(seen) == len(ORACLE_CHECKS) + 1
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0, 300.0, 1e5])
+    def test_every_applied_tolerance_is_declared(self, temperature):
+        # ORACLE_CHECKS is the one table of tolerances: each report's is the declared
+        # one, or for the two thermal checks the declared one as thermal_tolerance's base
+        p = make_params(temperature=temperature)
+        t_grid = [p.seconds(tau) for tau in (1e-2, 1.0, 1e2)]
+        for r in run_all(p, t_grid):
+            declared = ORACLE_CHECKS[r.quantity][1]
+            if r.quantity in ("gamma_th", "gamma_total_spectral"):
+                declared = oracle.thermal_tolerance(p.theta, declared)
+            assert r.tolerance == declared, (r.quantity, r.tolerance, declared)
 
     def test_honest_error_detection(self, default_params, monkeypatch):
         # a 1e-6 perturbation injected into a closed form must be flagged
