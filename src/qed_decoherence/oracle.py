@@ -13,6 +13,9 @@ phases in place, so no N x N and no (n_q, 2N) array is formed. The momentum
 matrix densmat builds is checked element by element against that same rho_p,
 also a block of rows at a time.
 
+Every frequency oracle passes its integrand's pieces to one driver as functions; the
+four 1 - cos integrals share one kernel whose weight is 1, coth - 1 or coth.
+
 The oracles never call the closed forms they check. Their policy is stated once:
 the frequency cutoff and oscillation threshold below, the tolerances in ORACLE_CHECKS.
 """
@@ -41,7 +44,7 @@ from .quadrature import (
 __all__ = ["ORACLE_CHECKS", "GridResolutionError", "OracleReport", "default_transform_grids",
            "fig3_time", "fourier_rho_r", "quad_field_energy", "quad_gamma_th",
            "quad_gamma_total", "quad_gamma_vac", "quad_phase", "quad_photon",
-           "quad_photon_continuum", "run_all", "small_omega_series", "thermal_tolerance",
+           "quad_photon_continuum", "run_all", "thermal_tolerance",
            "transform_consistency"]
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -69,39 +72,34 @@ def _cothm1(x):
         return 2.0 / np.expm1(2.0 * np.asarray(x, dtype=float))
 
 
-def small_omega_series(kind: str, ell: float, tau: float, theta: float = math.inf) -> float:
-    """Leading behavior of each integrand on [0, ell], ell << min(1/tau, 1/theta, 1).
+def _omc_head(ell: float, tau: float, theta: float, vacuum: bool) -> float:
+    """integral_0^ell of e^-w W(w) (1 - cos w tau)/w for ell << min(1/tau, 1/theta, 1),
+    with W = 1 (if vacuum) + coth(theta w/2) - 1, as the vacuum part plus the thermal part:
 
-    vac / photon:  integrand e^-w (1-cos w tau)/w ~ w tau^2/2 (1 - w):
-                   tau^2 ell^2/4 - tau^2 ell^3/6
-    phase:         e^-w (w tau - sin w tau)/w ~ w^2 tau^3/6 (1 - w):
-                   tau^3 ell^3/18 - tau^3 ell^4/24
-    thermal:       extra factor coth(theta w/2) - 1 ~ 2/(theta w) - 1:
-                   tau^2 ell/theta - (tau^2/2 + tau^2/theta) ell^2/2
-    total:         vac + thermal (coth = 1 + (coth - 1), exact split)
+    vacuum:   e^-w (1 - cos w tau)/w ~ w tau^2/2 (1 - w):  tau^2 ell^2/4 - tau^2 ell^3/6
+    thermal:  extra factor coth(theta w/2) - 1 ~ 2/(theta w) - 1:
+              tau^2 ell/theta - (tau^2/2 + tau^2/theta) ell^2/2;  0 at theta = inf
     """
     t2 = tau * tau
-    if kind in ("vac", "photon"):
-        return t2 * ell * ell * (0.25 - ell / 6.0)
-    if kind == "phase":
-        return tau * t2 * ell**3 * (1.0 / 18.0 - ell / 24.0)
-    if kind == "thermal":
-        if math.isinf(theta):
-            return 0.0
-        return t2 * ell / theta - (0.5 * t2 + t2 / theta) * ell * ell / 2.0
-    if kind == "total":
-        return (small_omega_series("vac", ell, tau)
-                + small_omega_series("thermal", ell, tau, theta))
-    raise DomainError(f"unknown series kind {kind!r}")
+    vac = t2 * ell * ell * (0.25 - ell / 6.0) if vacuum else 0.0
+    if math.isinf(theta):
+        return vac
+    return vac + (t2 * ell / theta - (0.5 * t2 + t2 / theta) * ell * ell / 2.0)
 
 
-def _frequency_integral(tau: float, theta: float, kind: str | None, combined, envelope,
-                        trig: str, tail_bound, smooth=None) -> QuadResult:
-    """integral_0^wmax dw combined(w), combined = smooth - envelope * trig(w tau): the
-    one split policy of every frequency oracle.
+def _phase_head(ell: float, tau: float) -> float:
+    """integral_0^ell of e^-w (w tau - sin w tau)/w ~ w^2 tau^3/6 (1 - w):
+    tau^3 ell^3/18 - tau^3 ell^4/24."""
+    return tau * (tau * tau) * ell**3 * (1.0 / 18.0 - ell / 24.0)
 
-    kind names the small_omega_series head on [0, ell], where the integrand
-    carries a 1/w; None marks an integrand regular at w = 0, integrated from 0.
+
+def _frequency_integral(tau: float, theta: float, head, combined, envelope, trig,
+                        tail_bound, smooth=None) -> QuadResult:
+    """integral_0^wmax dw combined(w), combined = smooth - envelope * trig(w tau) with
+    trig np.cos or np.sin: the one split policy of every frequency oracle.
+
+    head(ell), the small-w series of the integral over [0, ell], stands in where the
+    integrand carries a 1/w; None marks one regular at w = 0, integrated from 0.
     Up to the oscillation threshold the combined form is integrated whole, with
     panels at the decades, the thermal scales k/theta and the first 79 half
     periods. Above it the combined form covers the first ~10 periods (the 1/w
@@ -115,13 +113,13 @@ def _frequency_integral(tau: float, theta: float, kind: str | None, combined, en
         raise DomainError("oracle quadratures need t > 0")
     spec, wmax = DEFAULT_SPEC, _CUTOFF_MULTIPLE
     fixed = (1.0, 5.0, 20.0)    # the scales of e^-w
-    if kind is None:
+    if head is None:
         ell = wc = 0.0
-        head = QuadResult(0.0, 0.0, 0)
+        near = QuadResult(0.0, 0.0, 0)
     else:
         ell = 1e-6 * min(1.0 / tau, 1.0 / theta if not math.isinf(theta) else 1.0, 1.0)
         wc = min(1.0, 20.0 * math.pi / tau)
-        head = QuadResult(small_omega_series(kind, ell, tau, theta), 0.0, 0)
+        near = QuadResult(head(ell), 0.0, 0)
 
     def scales(lo: float, hi: float) -> tuple[float, ...]:
         """Decades in [lo, hi] (none from lo = 0) and the thermal scales; adaptive
@@ -135,34 +133,40 @@ def _frequency_integral(tau: float, theta: float, kind: str | None, combined, en
     if tau <= _OSCILLATION_THRESHOLD:
         h = math.pi / tau
         half = tuple(ell + k * h for k in range(1, 80)) if tau > 2.0 else ()
-        result = head + adaptive(combined, ell, wmax, spec,
+        result = near + adaptive(combined, ell, wmax, spec,
                                  breakpoints=scales(ell, wmax) + half + fixed)
     else:
-        if wc > ell:    # a regular integrand (kind None) has no near piece
-            head = head + adaptive(combined, ell, wc, spec, breakpoints=scales(ell, wc))
+        if wc > ell:    # a regular integrand (head None) has no near piece
+            near = near + adaptive(combined, ell, wc, spec, breakpoints=scales(ell, wc))
         body = (adaptive(envelope, wc, wmax, spec, breakpoints=scales(wc, wmax) + fixed)
                 if smooth is None else adaptive(smooth, wc, wmax, spec, breakpoints=fixed))
         osc = oscillatory(envelope, tau, wc, wmax, trig, spec)
-        result = head + body + (-osc)
+        result = near + body + -1.0 * osc
     result.tail_bound = tail_bound(wmax)
     return result
 
 
-def _omc_kernel(tau: float, weight) -> tuple:
-    """combined form, envelope, trig and tail bound of e^-w weight(w) (1 - cos w tau)/w."""
-    return (lambda w: np.exp(-w) * weight(w) * _one_minus_cos(w * tau) / w,
-            lambda w: np.exp(-w) * weight(w) / w, "cos",
-            lambda wmax: 2.0 * float(weight(wmax)) * math.exp(-wmax) / wmax)
+def _omc(tau: float, theta: float, vacuum: bool) -> QuadResult:
+    """integral dw e^-w W(w) (1 - cos w tau)/w with the weight W = 1 (vacuum),
+    coth(theta w/2) - 1 (thermal, not vacuum) or their sum coth(theta w/2)."""
+    def weight(w):
+        return float(vacuum) + _cothm1(0.5 * theta * w)
+
+    return _frequency_integral(
+        tau, theta, lambda ell: _omc_head(ell, tau, theta, vacuum),
+        lambda w: np.exp(-w) * weight(w) * _one_minus_cos(w * tau) / w,
+        lambda w: np.exp(-w) * weight(w) / w, np.cos,
+        lambda wmax: 2.0 * float(weight(wmax)) * math.exp(-wmax) / wmax)
 
 
 def quad_gamma_vac(tau: float) -> QuadResult:
     """integral dw e^-w (1-cos w tau)/w; closed form ln sqrt(1 + tau^2)."""
-    return _frequency_integral(tau, math.inf, "vac", *_omc_kernel(tau, lambda w: 1.0))
+    return _omc(tau, math.inf, True)
 
 
 def quad_photon(tau: float) -> QuadResult:
     """Same frequency integral as the vacuum factor; closed form ln(1 + tau^2)/2."""
-    return _frequency_integral(tau, math.inf, "photon", *_omc_kernel(tau, lambda w: 1.0))
+    return _omc(tau, math.inf, True)
 
 
 def quad_gamma_th(tau: float, theta: float) -> QuadResult:
@@ -173,17 +177,13 @@ def quad_gamma_th(tau: float, theta: float) -> QuadResult:
         raise DomainError("theta must be positive (T > 0)")
     if math.isinf(theta):
         return QuadResult(0.0, 0.0, 0)
-    weight = lambda w: _cothm1(0.5 * theta * w)
-    return _frequency_integral(tau, theta, "thermal", *_omc_kernel(tau, weight))
+    return _omc(tau, theta, False)
 
 
 def quad_gamma_total(tau: float, theta: float) -> QuadResult:
     """Full spectral-density reconstruction: integral of J(w)(1-cos w tau)
     coth(theta w/2)/w^2 with the (p-p')^2 prefactor divided out."""
-    if math.isinf(theta):
-        return quad_gamma_vac(tau)
-    weight = lambda w: 1.0 + _cothm1(0.5 * theta * w)
-    return _frequency_integral(tau, theta, "total", *_omc_kernel(tau, weight))
+    return _omc(tau, theta, True)
 
 
 def quad_phase(tau: float) -> QuadResult:
@@ -192,16 +192,16 @@ def quad_phase(tau: float) -> QuadResult:
         wt = w * tau
         return np.exp(-w) * (wt - np.sin(wt)) / w
 
-    return _frequency_integral(tau, math.inf, "phase", combined, lambda w: np.exp(-w) / w, "sin",
-                               lambda wmax: tau * math.exp(-wmax),
-                               smooth=lambda w: tau * np.exp(-w))
+    return _frequency_integral(
+        tau, math.inf, lambda ell: _phase_head(ell, tau), combined, lambda w: np.exp(-w) / w,
+        np.sin, lambda wmax: tau * math.exp(-wmax), smooth=lambda w: tau * np.exp(-w))
 
 
 def quad_field_energy(tau: float) -> QuadResult:
     """integral dw e^-w (1-cos w tau); closed form tau^2/(1 + tau^2) (times Omega in SI)."""
     return _frequency_integral(
         tau, math.inf, None, lambda w: np.exp(-w) * _one_minus_cos(w * tau), lambda w: np.exp(-w),
-        "cos", lambda wmax: 2.0 * math.exp(-wmax))
+        np.cos, lambda wmax: 2.0 * math.exp(-wmax))
 
 
 @functools.cache
@@ -245,16 +245,10 @@ def quad_photon_continuum(tau: float, v0: float = 0.0) -> QuadResult:
         """-e^-w D(w)/w; the driver subtracts it times cos(w tau)."""
         return -np.exp(-w) * (_one_minus_cos(np.multiply.outer(w, shift)) @ c) / w
 
-    photon = quad_photon(tau)
     # the correction has no smooth part: it is the cycle term alone
-    correction = _frequency_integral(
-        tau, math.inf, None, lambda w: -doppler(w) * np.cos(w * tau), doppler, "cos",
+    return c_total * quad_photon(tau) + _frequency_integral(
+        tau, math.inf, None, lambda w: -doppler(w) * np.cos(w * tau), doppler, np.cos,
         lambda wmax: 2.0 * c_total * math.exp(-wmax) / wmax, smooth=np.zeros_like)
-    return QuadResult(value=c_total * photon.value + correction.value,
-                      error=c_total * photon.error + correction.error,
-                      panels=photon.panels + correction.panels,
-                      tail_bound=c_total * photon.tail_bound + correction.tail_bound,
-                      converged=photon.converged and correction.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +456,6 @@ def thermal_tolerance(theta: float, base: float) -> float:
     The closed forms stop being meaningful references for theta < ~100, where
     the assumption itself is flagged.
     """
-    if math.isinf(theta):
-        return base
     return min(0.5, max(base, 10.0 / theta))
 
 

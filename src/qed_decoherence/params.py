@@ -100,6 +100,16 @@ class ModelParams:
             raise DomainError("mass0 must be positive")
         if self.delta_p <= 0.0:
             raise DomainError("delta_p must be positive")
+        # what the float arithmetic cannot carry: epsilon or theta at 0, delta_p^2 at inf
+        if not self.epsilon > 0.0:
+            raise DomainError(f"omega_cut = {self.omega_cut:g} rad/s, mass0 = {self.mass0:g} kg: "
+                              "epsilon = hbar Omega/(m0 c^2) underflows to 0")
+        if self.temperature > 0.0 and not (BOLTZMANN * self.temperature > 0.0
+                                           and self.theta > 0.0):
+            raise DomainError(f"temperature = {self.temperature:g} K, omega_cut = "
+                              f"{self.omega_cut:g} rad/s: k_B T or theta underflows to 0")
+        if not math.isfinite(self.delta_p * self.delta_p):
+            raise DomainError(f"delta_p = {self.delta_p:g} overflows delta_p^2")
         if self.v0 is None:
             object.__setattr__(self, "v0", abs(self.p0))
         if not 0.0 <= self.v0 < 1.0:
@@ -257,8 +267,8 @@ def vacuum_decoherence_time(params: ModelParams, dp: float) -> tuple[float, floa
         raise DomainError("dp must be >= 0")
     if dp == 0.0:
         return math.inf, math.inf   # diagonal elements never decohere
-    if params.alpha <= 0.0:
-        raise DomainError("vacuum_decoherence_time requires alpha > 0")
+    if not params.alpha * dp * dp > 0.0:    # alpha = 0, or alpha dp^2 underflowing to 0
+        raise DomainError("vacuum_decoherence_time requires alpha dp^2 > 0")
     log_tau = 1.5 * math.pi / (params.alpha * dp * dp) - math.log(params.omega_cut)
     try:
         lin = math.exp(log_tau)
@@ -273,8 +283,8 @@ def thermal_decoherence_time(params: ModelParams, dp: float) -> float:
         raise DomainError("dp must be >= 0")
     if dp == 0.0:
         return math.inf
-    if params.alpha <= 0.0:
-        raise DomainError("thermal_decoherence_time requires alpha > 0")
+    if not params.alpha * dp * dp > 0.0:    # alpha = 0, or alpha dp^2 underflowing to 0
+        raise DomainError("thermal_decoherence_time requires alpha dp^2 > 0")
     return thermal_time(params.temperature) * 1.5 * math.pi / (params.alpha * dp * dp)
 
 

@@ -102,9 +102,10 @@ class QuadResult:
             converged=self.converged and other.converged,
         )
 
-    def __neg__(self) -> "QuadResult":
-        return QuadResult(self.value * -1.0, self.error, self.panels,
-                          self.tail_bound, self.converged)
+    def __rmul__(self, c: float) -> "QuadResult":
+        """c * result: the value scaled by c, the error and tail bound by |c|."""
+        return QuadResult(c * self.value, abs(c) * self.error, self.panels,
+                          abs(c) * self.tail_bound, self.converged)
 
 
 def kronrod_panel(f, a: float | np.ndarray, b: float | np.ndarray
@@ -227,20 +228,15 @@ def wynn_epsilon(partial_sums) -> tuple[float, float]:
     return best, best_err
 
 
-def oscillatory(g, tau: float, a: float, b: float, kind: str,
+def oscillatory(g, tau: float, a: float, b: float, trig,
                 spec: QuadratureSpec) -> QuadResult:
-    """integral_a^b g(w) * {cos|sin}(w tau) dw for smooth decaying g, tau > 0.
+    """integral_a^b g(w) trig(w tau) dw, trig np.cos or np.sin, for smooth decaying g,
+    tau > 0.
 
     K15 per half period pi/tau plus epsilon acceleration of the cycle sums.
     Falls back to the plain accumulated sum if the interval is exhausted
     first (the envelope then bounds the remainder).
     """
-    if kind == "cos":
-        trig = np.cos
-    elif kind == "sin":
-        trig = np.sin
-    else:
-        raise QuadratureError(f"unknown oscillation kind {kind!r}")
     f = lambda w: g(w) * trig(w * tau)
     h = math.pi / tau
     if (b - a) <= 2.0 * h:

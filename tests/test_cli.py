@@ -502,9 +502,40 @@ class TestExitCodes:
         assert np.all(np.isfinite(widths))
         assert widths[-1, 0] == pytest.approx(2.9978e157, rel=1e-4)
 
+    @pytest.mark.parametrize("command", [
+        ("scan",), ("figure", "fig1"), ("figure", "fig2"), ("figure", "fig3"), ("figure", "fig4"),
+        ("rho", "--t-s", "1e-19"), ("timescales",), ("verify",),
+    ], ids=["scan", "fig1", "fig2", "fig3", "fig4", "rho", "timescales", "verify"])
+    @pytest.mark.parametrize("inputs, name", [
+        (("--omega-cut-rad-s", "1e-300"), "omega_cut"),     # epsilon underflows
+        (("--mass0-kg", "1e300"), "mass0"),                 # m0 c^2 overflows, epsilon underflows
+        (("--omega-cut-rad-s", "1e-30", "--temperature-K", "1e300"), "temperature"),  # theta
+        (("--temperature-K", "5e-324"), "temperature"),     # k_B T underflows
+        (("--delta-p-over-m0c", "1e160"), "delta_p"),       # delta_p^2 overflows
+    ], ids=["omega_cut", "mass0", "theta", "k_B_T", "delta_p"])
+    def test_inputs_the_float_arithmetic_cannot_carry(self, command, inputs, name, tmp_path,
+                                                       capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(*command, *inputs, "--out", str(out)) == cli.EXIT_DOMAIN
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("domain error:") and name in last, last
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [("figure", "fig3"), ("timescales",)],
+                             ids=["fig3", "timescales"])
+    def test_alpha_dp_squared_underflow_is_a_domain_error(self, command, tmp_path, capsys):
+        # alpha = 5e-324 is accepted (scan runs it), but tau_vac needs alpha delta_p^2 > 0
+        out = tmp_path / "x.csv"
+        assert run_cli(*command, "--alpha", "5e-324", "--out", str(out)) == cli.EXIT_DOMAIN
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("domain error:") and "alpha" in last, last
+        assert not out.exists()
+        assert run_cli("scan", "--alpha", "5e-324", "--t-points", "3", "--out", str(out)) == 0
+
     @pytest.mark.parametrize("argv", [
         ("rho", "--rep", "r", "--t-s", "1e140", "--points", "3"),
         ("scan", "--t-max-s", "1e300"),
+        ("scan", "--omega-cut-rad-s", "1e-300"),
     ])
     def test_overflow_ends_in_the_domain_error_alone(self, argv):
         # a fresh interpreter, so numpy's floating-point warnings reach stderr

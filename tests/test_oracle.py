@@ -38,6 +38,8 @@ from conftest import make_params
 from reference import dense_fourier_rho_r, photon_continuum_sum
 
 TAUS = np.geomspace(1e-3, 1e6, 25)
+# tau of the frequency oracles' bit-identity set
+GATE_TAUS = sorted({*np.geomspace(1e-3, 1e6, 29).tolist(), 0.37, 3.0, 30.0, 1e3, 1e4})
 
 
 class TestFrequencyOracles:
@@ -89,6 +91,15 @@ class TestFrequencyOracles:
     def test_gamma_th_vanishes_at_T0(self):
         r = quad_gamma_th(10.0, math.inf)
         assert r.value == 0.0
+
+    def test_gamma_total_at_T0_is_the_vacuum_integral_bit_for_bit(self):
+        # coth = 1 at theta = inf: the general weight and head give the vacuum bits
+        def bits(r):
+            return (r.value.hex(), r.error.hex(), float(r.tail_bound).hex(), r.panels,
+                    r.converged)
+
+        for tau in GATE_TAUS:
+            assert bits(quad_gamma_total(tau, math.inf)) == bits(quad_gamma_vac(tau)), tau
 
     def test_gamma_total_reconstructs_full_factor(self, default_params):
         theta = default_params.theta
@@ -424,6 +435,11 @@ class TestRunAll:
         reports = run_all(p0, t_grid)
         assert all(r.passed for r in reports)
         assert "gamma_th" not in {r.quantity for r in reports}
+
+    @pytest.mark.parametrize("quantity", sorted(ORACLE_CHECKS))
+    def test_thermal_tolerance_at_T0_is_the_base(self, quantity):
+        base = ORACLE_CHECKS[quantity][1]
+        assert oracle.thermal_tolerance(math.inf, base) == base
 
     def test_hot_bath_tolerances_scale_with_validity(self):
         # the thermal closed form deviates like ~1/theta; run_all must stay

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qed_decoherence.oracle import small_omega_series
+from qed_decoherence.oracle import _omc_head, _phase_head
 from qed_decoherence.quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -125,32 +125,27 @@ class TestOscillatory:
     def test_laplace_cosine(self):
         # int_0^inf e^-w cos(w tau) dw = 1/(1+tau^2)
         tau = 300.0
-        r = oscillatory(lambda w: np.exp(-w), tau, 0.0, 50.0, "cos", SPEC)
+        r = oscillatory(lambda w: np.exp(-w), tau, 0.0, 50.0, np.cos, SPEC)
         assert r.value == pytest.approx(1.0 / (1.0 + tau**2), abs=1e-12)
 
     def test_sine_with_one_over_w(self):
         # int_a^inf e^-w sin(w tau)/w dw for large tau approaches pi/2
         tau = 1e5
         a = 20.0 * math.pi / tau
-        r = oscillatory(lambda w: np.exp(-w) / w, tau, a, 50.0, "sin", SPEC)
+        r = oscillatory(lambda w: np.exp(-w) / w, tau, a, 50.0, np.sin, SPEC)
         ref = float(mp.quadosc(
             lambda w: mp.e ** (-w) * mp.sin(w * tau) / w,
             [a, mp.inf], period=2 * mp.pi / tau))
         assert r.value == pytest.approx(ref, abs=1e-9)
 
     def test_short_interval_delegates_to_adaptive(self):
-        r = oscillatory(lambda w: np.exp(-w), 0.5, 0.0, 1.0, "cos", SPEC)
+        r = oscillatory(lambda w: np.exp(-w), 0.5, 0.0, 1.0, np.cos, SPEC)
         ref = float(mp.quad(lambda w: mp.e ** (-w) * mp.cos(0.5 * w), [0, 1]))
         assert r.value == pytest.approx(ref, rel=1e-10)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(QuadratureError):
-            oscillatory(lambda w: np.exp(-w), 100.0, 0.0, 50.0, "tan", SPEC)
 
-
-def _one_panel_per_step(g, tau, a, b, kind, spec):
+def _one_panel_per_step(g, tau, a, b, trig, spec):
     """oscillatory as a loop that evaluates one half period per kronrod_panel call."""
-    trig = {"cos": np.cos, "sin": np.sin}[kind]
     f = lambda w: g(w) * trig(w * tau)
     h = math.pi / tau
     if (b - a) <= 2.0 * h:
@@ -206,14 +201,14 @@ class TestOscillatoryBlocks:
     """oscillatory evaluates half periods a block at a time; value, error,
     panels and convergence must be those of one panel per call."""
 
-    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    @pytest.mark.parametrize("trig", [np.cos, np.sin], ids=["cos", "sin"])
     @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
-    def test_oracle_inputs(self, envelope, kind):
+    def test_oracle_inputs(self, envelope, trig):
         g = ENVELOPES[envelope]
         for tau in ORACLE_TAUS:
             a = min(1.0, 20.0 * math.pi / tau)
-            got = oscillatory(g, tau, a, 50.0, kind, SPEC)
-            assert _bits(got) == _bits(_one_panel_per_step(g, tau, a, 50.0, kind, SPEC)), tau
+            got = oscillatory(g, tau, a, 50.0, trig, SPEC)
+            assert _bits(got) == _bits(_one_panel_per_step(g, tau, a, 50.0, trig, SPEC)), tau
 
     @pytest.mark.parametrize("half_periods", [7.5, 16.0, 16.5, 37.3])
     def test_interval_runs_out_first(self, half_periods):
@@ -221,50 +216,61 @@ class TestOscillatoryBlocks:
         tau = 100.0
         g = lambda w: np.abs(np.sin(7.3 * w * tau))
         b = 1.0 + half_periods * math.pi / tau
-        got = oscillatory(g, tau, 1.0, b, "cos", SPEC)
+        got = oscillatory(g, tau, 1.0, b, np.cos, SPEC)
         assert got.panels == math.ceil(half_periods)
-        assert _bits(got) == _bits(_one_panel_per_step(g, tau, 1.0, b, "cos", SPEC))
+        assert _bits(got) == _bits(_one_panel_per_step(g, tau, 1.0, b, np.cos, SPEC))
 
     @pytest.mark.parametrize("max_cycles", [9, 16, 17])
     def test_cycle_budget_runs_out_first(self, max_cycles):
         spec = QuadratureSpec(max_cycles=max_cycles)
         g = np.sqrt
-        got = oscillatory(g, 100.0, 1e-3, 50.0, "sin", spec)
+        got = oscillatory(g, 100.0, 1e-3, 50.0, np.sin, spec)
         assert (got.converged, got.panels) == (False, max_cycles)
-        assert _bits(got) == _bits(_one_panel_per_step(g, 100.0, 1e-3, 50.0, "sin", spec))
+        assert _bits(got) == _bits(_one_panel_per_step(g, 100.0, 1e-3, 50.0, np.sin, spec))
 
     def test_unconverged_error_after_the_cycle_budget(self):
         spec = QuadratureSpec(max_cycles=37)
         g = lambda w: np.abs(np.sin(730.0 * w))
         with pytest.raises(QuadratureError):
-            _one_panel_per_step(g, 100.0, 1.0, 50.0, "sin", spec)
+            _one_panel_per_step(g, 100.0, 1.0, 50.0, np.sin, spec)
         with pytest.raises(QuadratureError, match="did not stabilize after 37 cycles"):
-            oscillatory(g, 100.0, 1.0, 50.0, "sin", spec)
+            oscillatory(g, 100.0, 1.0, 50.0, np.sin, spec)
 
 
 class TestSmallOmegaSeries:
-    """The stated endpoint series, checked in isolation against 30-digit
+    """The oracle's head series on [0, ell], checked in isolation against 30-digit
     quadrature of the raw integrands (references frozen from mpmath)."""
 
     def test_vac(self):
         # tau = 0.37, ell = 1e-6
         ref = 3.4224977183341694e-14
-        assert small_omega_series("vac", 1e-6, 0.37) == pytest.approx(ref, rel=1e-9)
+        assert _omc_head(1e-6, 0.37, math.inf, True) == pytest.approx(ref, rel=1e-9)
 
     def test_phase(self):
         ref = 2.8140534450147215e-21
-        assert small_omega_series("phase", 1e-6, 0.37) == pytest.approx(ref, rel=1e-9)
+        assert _phase_head(1e-6, 0.37) == pytest.approx(ref, rel=1e-9)
 
     def test_thermal(self):
         # theta = 1e4, ell = 1e-10
         ref = 1.368999646908151e-15
-        assert small_omega_series("thermal", 1e-10, 0.37, 1e4) == pytest.approx(ref, rel=1e-9)
+        assert _omc_head(1e-10, 0.37, 1e4, False) == pytest.approx(ref, rel=1e-9)
 
     def test_total_is_vac_plus_thermal(self):
-        tot = small_omega_series("total", 1e-10, 0.37, 1e4)
-        parts = small_omega_series("vac", 1e-10, 0.37) + small_omega_series(
-            "thermal", 1e-10, 0.37, 1e4)
+        tot = _omc_head(1e-10, 0.37, 1e4, True)
+        parts = _omc_head(1e-10, 0.37, math.inf, True) + _omc_head(1e-10, 0.37, 1e4, False)
         assert tot == pytest.approx(parts, rel=1e-14)
+
+
+class TestQuadResult:
+    def test_minus_one_times_negates_the_value_alone(self):
+        r = QuadResult(0.3, 2e-12, 7, tail_bound=1e-20, converged=False)
+        assert -1.0 * r == QuadResult(r.value * -1.0, r.error, r.panels, r.tail_bound,
+                                      r.converged)
+
+    @pytest.mark.parametrize("c", [2.5, -3.0, 0.0])
+    def test_scaling_takes_the_bounds_by_magnitude(self, c):
+        r = QuadResult(-0.7, 3e-11, 12, tail_bound=4e-19)
+        assert c * r == QuadResult(c * -0.7, abs(c) * 3e-11, 12, abs(c) * 4e-19, True)
 
 
 def test_trapezoid_weights_integrate_linear_exactly():
