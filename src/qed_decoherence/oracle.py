@@ -10,8 +10,8 @@ analytic transform, evaluated as a Toeplitz convolution (one FFT per row;
 numpy.fft is loaded on the first call, not at import). The transform streams
 its q rows in cache-sized blocks through one reused buffer and writes its
 phases in place, so no N x N and no (n_q, 2N) array is formed. The momentum
-matrix densmat builds is checked element by element against that same rho_p,
-also a block of rows at a time.
+matrix densmat builds is checked element by element against that same rho_p, one
+densmat row block at a time as densmat yields it.
 
 Every frequency oracle passes its integrand's pieces to one driver as functions; the
 four 1 - cos integrals share one kernel whose weight is 1, coth - 1 or coth.
@@ -352,27 +352,25 @@ def default_transform_grids(packet: GaussianPacket, factors: DecoherenceFactors,
 def _rho_p_deviation(packet: GaussianPacket, factors: DecoherenceFactors,
                      p_grid: np.ndarray) -> float:
     """Peak-relative max deviation of densmat.rho_p_matrix from the oracle's own
-    b_i G(|i - j|) conj(b_j) (_rho_p_factors), element by element. The reference
-    is built densmat's ~1 MiB of rows at a time in one reused complex and one
-    reused real buffer, G(|i - j|) read from a strided Toeplitz view."""
-    grid = densmat.rho_p_matrix(p_grid, packet, factors)
+    b_i G(|i - j|) conj(b_j) (_rho_p_factors), element by element: densmat's row blocks
+    of rho_p (the bits rho_p_matrix writes) against the reference's, in one reused complex
+    and one real buffer, G(|i - j|) read from a strided Toeplitz view; no N x N array."""
+    blocks = densmat._grid_blocks(*densmat._rho_p_args(p_grid, packet, factors), math.inf)()
     b, kernel = _rho_p_factors(packet, factors, np.asarray(p_grid, dtype=float))
     n = len(b)
     # row i of the view is G(|i - j|), j = 0..n-1: a window of G(n-1), ..., G(0), ..., G(n-1)
     toeplitz = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([kernel[:0:-1], kernel]), n)[::-1]
     b_conj = b.conj()
-    rows = densmat._block_rows(n)
-    cbuf = np.empty((min(rows, n), n), dtype=complex)
-    rbuf = np.empty((min(rows, n), n))
+    shape = (min(densmat._block_rows(n), n), n)
+    cbuf, rbuf = np.empty(shape, dtype=complex), np.empty(shape)
     worst = peak = 0.0
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    for lo, hi, grid in blocks:
         ref, mag = cbuf[:hi - lo], rbuf[:hi - lo]
         np.multiply.outer(b[lo:hi], b_conj, out=ref)
         ref *= toeplitz[lo:hi]
         peak = max(peak, float(np.max(np.abs(ref, out=mag))))
-        ref -= grid[lo:hi]
+        ref -= grid
         worst = max(worst, float(np.max(np.abs(ref, out=mag))))
     return worst / peak
 
@@ -470,9 +468,11 @@ def run_all(params: ModelParams, t_grid_seconds) -> list[OracleReport]:
     """Every frequency oracle and identity check (not the transform: transform_reports)
     against its closed form, aggregated to one worst-case report per quantity at its
     ORACLE_CHECKS tolerance. Per-quantity failures are collected, never raised."""
+    p_bar = abs(params.p0) or params.delta_p
+    if not math.isfinite(p_bar * p_bar):
+        raise DomainError(f"p0 = {params.p0:g} m0 c overflows the identity checks' p0^2")
     taus = params.tau(np.asarray(t_grid_seconds, dtype=float)).tolist()
     theta = params.theta
-    p_bar = abs(params.p0) or params.delta_p
     reports: list[OracleReport] = []
 
     def gather(quantity, closed_fn, quad_fn, grid, detail=""):

@@ -521,6 +521,27 @@ class TestExitCodes:
         assert last.startswith("domain error:") and name in last, last
         assert not out.exists()
 
+    def test_p0_squared_overflow_fails_verify_before_any_oracle(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        # |p0| >= 1 is accepted once v0 is set; the identity checks square p0
+        huge = ("--p0-over-m0c", "1e160", "--v0-over-c", "0.1")
+        out = tmp_path / "x.csv"
+        for other in (("rho", "--t-s", "1e-19", "--points", "3"), ("timescales",),
+                      ("figure", "fig1"), ("figure", "fig4")):
+            assert run_cli(*other, *huge, "--out", str(out)) == 0
+        out.unlink()
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("an oracle ran")
+
+        monkeypatch.setattr(cli.oracle, "_frequency_integral", no_oracle)
+        monkeypatch.setattr(cli.oracle, "fourier_rho_r", no_oracle)
+        capsys.readouterr()
+        assert run_cli("verify", *huge, "--out", str(out)) == cli.EXIT_DOMAIN
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("domain error: p0 = 1e+160"), last
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [("figure", "fig3"), ("timescales",)],
                              ids=["fig3", "timescales"])
     def test_alpha_dp_squared_underflow_is_a_domain_error(self, command, tmp_path, capsys):

@@ -304,18 +304,33 @@ class TestBlockedGrid:
     def test_bits_equal_whole_matrix_build(self, monkeypatch, n, case):
         pk, f = self._cases()[case]
         calls = []
-        build = densmat._factored_grid
+        build = densmat._grid_blocks
 
         def recording(*args):
             calls.append(args)
             return build(*args)
 
-        monkeypatch.setattr(densmat, "_factored_grid", recording)
+        monkeypatch.setattr(densmat, "_grid_blocks", recording)
         p_grid = np.linspace(pk.p0 - 6 * pk.delta_p, pk.p0 + 6 * pk.delta_p, n)
         q_grid = mean_displacement(pk, f) + np.linspace(-6.0, 6.0, n) * width_t(pk, f)
         got = [rho_p_matrix(p_grid, pk, f, MAX_PHASE), rho_r_matrix(q_grid, pk, f)]
         for m, args in zip(got, calls, strict=True):
             assert np.array_equal(m.view(np.uint64), _unblocked_grid(*args).view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 201, 1024])
+    @pytest.mark.parametrize("case", ["stationary t=0", "drifting t=5", "drifting large gamma"])
+    def test_each_block_is_its_rows_of_the_matrix(self, n, case):
+        pk, f = self._cases()[case]
+        p_grid = np.linspace(pk.p0 - 6 * pk.delta_p, pk.p0 + 6 * pk.delta_p, n)
+        whole = rho_p_matrix(p_grid, pk, f, MAX_PHASE)
+        covered = 0
+        for lo, hi, rows in densmat._grid_blocks(
+                *densmat._rho_p_args(p_grid, pk, f), MAX_PHASE)():
+            assert lo == covered and rows.shape == (hi - lo, n)
+            assert np.array_equal(rows.view(np.uint64), whole[lo:hi].view(np.uint64))
+            assert np.all(np.diagonal(rows[:, lo:hi]).imag == 0.0)
+            covered = hi
+        assert covered == n
 
     def test_peak_memory_is_the_result(self):
         pk = packet_1d(p0=0.05, r0=3.0)
@@ -341,6 +356,21 @@ class TestBlockedGrid:
         finally:
             tracemalloc.stop()
         assert peak < 1024 * 1024 * 8
+
+    def test_phase_bound_fails_on_the_block_path_before_a_buffer_is_allocated(self):
+        # the bound is checked on the call, not on the first block; one block's
+        # buffers are about _BLOCK_BYTES (1 MiB) at N = 1024
+        pk = packet_1d(p0=0.1)
+        f = DecoherenceFactors(t=1e20, gamma_vac=50.0, gamma_th=0.0, gamma=50.0, phi=-1e20)
+        grid = np.linspace(0.1 - 4 * pk.delta_p, 0.1 + 4 * pk.delta_p, 1024)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="phase of rho"):
+                densmat._grid_blocks(*densmat._rho_p_args(grid, pk, f), MAX_PHASE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < densmat._BLOCK_BYTES // 4
 
 
 class TestFigureThreeProperty:

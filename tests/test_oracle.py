@@ -278,11 +278,12 @@ class TestTransformOracle:
         assert self._traced_peak(fourier_rho_r, packet, f, p_grid, q_grid) < 12 * 2**20
 
     def test_transform_consistency_peak(self, fig3_params):
-        # the 1024 x 1024 rho_p grid of the direct rho_p check (16 MiB) sets the
-        # peak (19.2 MiB traced); whole-array FFTs of the 2048 grid peaked at 32.4 MiB
+        # fourier_rho_r at N = 2048 sets the peak (9.0 MiB traced); the direct rho_p
+        # check streams densmat's row blocks, where a whole 1024 x 1024 grid (16 MiB)
+        # peaked at 19.2 MiB, and whole-array FFTs of the 2048 grid at 32.4 MiB
         packet = GaussianPacket.from_params(fig3_params)
         f = DecoherenceFactors.at_time(fig3_params, fig3_time(fig3_params))
-        assert self._traced_peak(transform_consistency, packet, f) < 20 * 2**20
+        assert self._traced_peak(transform_consistency, packet, f) < 10 * 2**20
 
     @pytest.mark.parametrize("p_grid", [
         np.array([0.1]),
@@ -312,19 +313,26 @@ class TestTransformOracle:
                            fourier_rho_r(packet, f, p_grid, q_grid), rtol=0, atol=1e-12)
 
     def test_rho_p_mutant_fails_verify(self, monkeypatch, capsys):
-        # one token of rho_p_matrix's phase, -packet.r0 -> +packet.r0: invisible to the
-        # transform (the oracle builds its own rho_p) and at r0 = 0, so it is the direct
-        # rho_p comparison on a packet with r0 != 0 that must fail verify
+        # one token of rho_p's phase, -packet.r0 -> +packet.r0, in the one mapping that
+        # rho_p_matrix and the direct check share: invisible to the transform (the oracle
+        # builds its own rho_p) and at r0 = 0, so it is the direct rho_p comparison on a
+        # packet with r0 != 0 that must fail verify
         real_build = cli.cfg.build_params
         monkeypatch.setattr(cli.cfg, "build_params",
                             lambda resolved: dataclasses.replace(real_build(resolved), r0=0.5))
         assert cli.main(["verify"]) == cli.EXIT_OK
-        source = inspect.getsource(densmat.rho_p_matrix)
+        # the mutant is in what rho --rep p writes, too
+        pk, f = GaussianPacket(p0=0.05, delta_p=0.1, r0=0.5), DecoherenceFactors.at_time(
+            make_params(), 1e-18)
+        grid = np.linspace(-0.5, 0.6, 33)
+        written = densmat.rho_p_matrix(grid, pk, f)
+        source = inspect.getsource(densmat._rho_p_args)
         mutated = source.replace("-packet.r0", "+packet.r0")
-        assert source.count("-packet.r0") == 1 and mutated != source
+        assert inspect.getsource(densmat).count("-packet.r0") == 1 and mutated != source
         namespace = dict(vars(densmat))
         exec(mutated, namespace)
-        monkeypatch.setattr(densmat, "rho_p_matrix", namespace["rho_p_matrix"])
+        monkeypatch.setattr(densmat, "_rho_p_args", namespace["_rho_p_args"])
+        assert not np.allclose(densmat.rho_p_matrix(grid, pk, f), written)
         capsys.readouterr()
         assert cli.main(["verify"]) == cli.EXIT_VERIFY
         out = capsys.readouterr().out
