@@ -22,14 +22,16 @@ On a 1-D grid x both representations have the factored form
     M_ij = exp(-a [(x_i - c)^2 + (x_j - c)^2] - g (x_i - x_j)^2),   v_i = exp(i theta_i),
 
 with M real and symmetric and the phase separable (theta = Phi p^2 - r0 p in
-the momentum representation). One loop builds it a block of rows at a time, from N
-complex exponentials for v and N^2 real ones for M: each block's slice of M is evaluated
-in one reused buffer sized for the L2 cache, multiplied into its rows of v_i conj(v_j) in
-a second, with the bits of a whole-matrix build. `rho_p_matrix` and `rho_r_matrix` have
-it write into their result, the only N x N array; the oracle checks rho_p's as they come.
-M is built from -g (x_i - x_j)^2 as it stands: splitting it into exp(-g x_i^2)
-exp(2 g x_i x_j) exp(-g x_j^2) would overflow once g x^2 passes ~709 (late times,
-large Gamma) and cancel catastrophically before that.
+the momentum representation). `rho_p_matrix` and `rho_r_matrix` build it
+from N complex exponentials for v and N^2 real ones for M, a block of rows at
+a time: each block's slice of M is evaluated in one reused buffer sized for
+the L2 cache and multiplied into its rows of v_i conj(v_j), so the result is
+the only N x N array, and its bits are those of a whole-matrix build (given
+each_block, rho_p_matrix passes it the blocks instead and forms none). M is
+built from -g (x_i - x_j)^2 as it stands: splitting it into
+exp(-g x_i^2) exp(2 g x_i x_j) exp(-g x_j^2) would overflow once g x^2
+passes ~709 (late times, large Gamma) and cancel catastrophically before
+that.
 """
 
 from __future__ import annotations
@@ -118,10 +120,11 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (24 * n))
 
 
-def _grid_blocks(x: np.ndarray, norm: float, a: float, c: float, g: float,
-                 phase2: float, phase1: float, max_phase: float):
-    """Row blocks (lo, hi, rows) of norm v_i M_ij conj(v_j) on the grid x (see the module
-    docstring), with M_ij = exp(-a[(x_i-c)^2 + (x_j-c)^2] - g (x_i-x_j)^2) and
+def _factored_grid(x: np.ndarray, norm: float, a: float, c: float, g: float,
+                   phase2: float, phase1: float, max_phase: float,
+                   each_block=None) -> np.ndarray | None:
+    """norm v_i M_ij conj(v_j) on the grid x (see the module docstring), with
+    M_ij = exp(-a[(x_i-c)^2 + (x_j-c)^2] - g (x_i-x_j)^2) and
     v = exp(i theta), theta = phase2 x^2 + phase1 x, |theta| <= max_phase.
 
     theta is taken about c, where the packet sits: the constant theta(c)
@@ -129,8 +132,10 @@ def _grid_blocks(x: np.ndarray, norm: float, a: float, c: float, g: float,
     x, so a packet far from the origin (a drifted coordinate grid) costs no
     phase accuracy. The result is Hermitian to rounding.
 
-    The phase bound is checked on the call, before any buffer exists. The call returns
-    blocks(out=None): its row blocks are rows of out if given, else of one reused buffer.
+    Filled _block_rows(N) rows at a time (see the module docstring); every
+    element gets the same operations whatever the block size, so the same bits.
+    Given each_block, each_block(lo, hi, rows) gets every block, rows from one
+    reused buffer, instead; no (N, N) array is allocated and None is returned.
     """
     u = x - c
     env = a * u**2
@@ -140,50 +145,37 @@ def _grid_blocks(x: np.ndarray, norm: float, a: float, c: float, g: float,
             f"the phase of rho reaches {np.max(np.abs(theta)):.3g} rad on this grid; past "
             f"{max_phase:.3g} rad its rounding alone exceeds 1 rad, so re and im carry no digits")
     w = math.sqrt(norm) * np.exp(1j * theta)
+    w_conj = w.conj()
     n = len(x)
     rows = min(_block_rows(n), n)
-
-    def blocks(out=None):
-        w_conj = w.conj()
-        buf = np.empty((rows, n))
-        reused = np.empty((rows, n), dtype=complex) if out is None else None
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            m = buf[:hi - lo]
-            np.subtract.outer(x[lo:hi], x, out=m)
-            np.square(m, out=m)
-            m *= g
-            np.subtract(-env[lo:hi, None], m, out=m)
-            m -= env[None, :]
-            np.exp(m, out=m)
-            o = reused[:hi - lo] if out is None else out[lo:hi]
-            np.multiply.outer(w[lo:hi], w_conj, out=o)
-            o *= m
-            # populations are real; the complex products leave ~1e-17 rounding there
-            np.fill_diagonal(o.imag[:, lo:hi], 0.0)
-            yield lo, hi, o
-    return blocks
-
-
-def _factored_grid(x: np.ndarray, *args) -> np.ndarray:
-    """The (N, N) grid of _grid_blocks(x, *args), written in place after its phase check."""
-    blocks = _grid_blocks(x, *args)
-    out = np.empty((len(x), len(x)), dtype=complex)
-    for _ in blocks(out):
-        pass
-    return out
-
-
-def _rho_p_args(p_grid: np.ndarray, packet: GaussianPacket, factors: DecoherenceFactors):
-    """(x, norm, a, c, g, phase2, phase1) of rho_p: its one packet-to-grid mapping."""
-    return (np.asarray(p_grid, dtype=float), packet.norm, 0.75 / packet.delta_p**2,
-            packet.p0, factors.gamma, factors.phi, -packet.r0)
+    out = np.empty((n if each_block is None else rows, n), dtype=complex)
+    buf = np.empty((rows, n))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        m = buf[:hi - lo]
+        np.subtract.outer(x[lo:hi], x, out=m)
+        np.square(m, out=m)
+        m *= g
+        np.subtract(-env[lo:hi, None], m, out=m)
+        m -= env[None, :]
+        np.exp(m, out=m)
+        o = out[lo:hi] if each_block is None else out[:hi - lo]
+        np.multiply.outer(w[lo:hi], w_conj, out=o)
+        o *= m
+        # populations are real; the complex products leave ~1e-17 rounding there
+        np.fill_diagonal(o.imag[:, lo:hi], 0.0)
+        if each_block is not None:
+            each_block(lo, hi, o)
+    return out if each_block is None else None
 
 
 def rho_p_matrix(p_grid: np.ndarray, packet: GaussianPacket, factors: DecoherenceFactors,
-                 max_phase: float = math.inf) -> np.ndarray:
-    """Full (N, N) momentum matrix rho(p_i, p_j) on a 1-D grid (max_phase: see MAX_PHASE)."""
-    return _factored_grid(*_rho_p_args(p_grid, packet, factors), max_phase)
+                 max_phase: float = math.inf, each_block=None) -> np.ndarray | None:
+    """Full (N, N) momentum matrix rho(p_i, p_j) on a 1-D grid (max_phase: see MAX_PHASE;
+    each_block: see _factored_grid, the oracle's direct check streams the blocks)."""
+    return _factored_grid(np.asarray(p_grid, dtype=float), packet.norm,
+                          0.75 / packet.delta_p**2, packet.p0, factors.gamma,
+                          factors.phi, -packet.r0, max_phase, each_block)
 
 
 def rho_r_matrix(q_grid: np.ndarray, packet: GaussianPacket, factors: DecoherenceFactors,

@@ -10,8 +10,8 @@ analytic transform, evaluated as a Toeplitz convolution (one FFT per row;
 numpy.fft is loaded on the first call, not at import). The transform streams
 its q rows in cache-sized blocks through one reused buffer and writes its
 phases in place, so no N x N and no (n_q, 2N) array is formed. The momentum
-matrix densmat builds is checked element by element against that same rho_p, one
-densmat row block at a time as densmat yields it.
+matrix densmat builds is checked element by element against that same rho_p, a
+block of rows at a time as rho_p_matrix builds them, so verify forms no N x N array.
 
 Every frequency oracle passes its integrand's pieces to one driver as functions; the
 four 1 - cos integrals share one kernel whose weight is 1, coth - 1 or coth.
@@ -352,10 +352,9 @@ def default_transform_grids(packet: GaussianPacket, factors: DecoherenceFactors,
 def _rho_p_deviation(packet: GaussianPacket, factors: DecoherenceFactors,
                      p_grid: np.ndarray) -> float:
     """Peak-relative max deviation of densmat.rho_p_matrix from the oracle's own
-    b_i G(|i - j|) conj(b_j) (_rho_p_factors), element by element: densmat's row blocks
-    of rho_p (the bits rho_p_matrix writes) against the reference's, in one reused complex
-    and one real buffer, G(|i - j|) read from a strided Toeplitz view; no N x N array."""
-    blocks = densmat._grid_blocks(*densmat._rho_p_args(p_grid, packet, factors), math.inf)()
+    b_i G(|i - j|) conj(b_j) (_rho_p_factors), element by element: each row block it
+    passes to each_block against the same rows of the reference, in one reused complex
+    and one real buffer, G(|i - j|) from a strided Toeplitz view; no N x N array."""
     b, kernel = _rho_p_factors(packet, factors, np.asarray(p_grid, dtype=float))
     n = len(b)
     # row i of the view is G(|i - j|), j = 0..n-1: a window of G(n-1), ..., G(0), ..., G(n-1)
@@ -365,13 +364,17 @@ def _rho_p_deviation(packet: GaussianPacket, factors: DecoherenceFactors,
     shape = (min(densmat._block_rows(n), n), n)
     cbuf, rbuf = np.empty(shape, dtype=complex), np.empty(shape)
     worst = peak = 0.0
-    for lo, hi, grid in blocks:
+
+    def compare(lo, hi, grid):
+        nonlocal worst, peak
         ref, mag = cbuf[:hi - lo], rbuf[:hi - lo]
         np.multiply.outer(b[lo:hi], b_conj, out=ref)
         ref *= toeplitz[lo:hi]
         peak = max(peak, float(np.max(np.abs(ref, out=mag))))
         ref -= grid
         worst = max(worst, float(np.max(np.abs(ref, out=mag))))
+
+    densmat.rho_p_matrix(p_grid, packet, factors, each_block=compare)
     return worst / peak
 
 

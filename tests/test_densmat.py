@@ -304,13 +304,13 @@ class TestBlockedGrid:
     def test_bits_equal_whole_matrix_build(self, monkeypatch, n, case):
         pk, f = self._cases()[case]
         calls = []
-        build = densmat._grid_blocks
+        build = densmat._factored_grid
 
         def recording(*args):
-            calls.append(args)
+            calls.append(args[:8])  # the grid arguments, not each_block
             return build(*args)
 
-        monkeypatch.setattr(densmat, "_grid_blocks", recording)
+        monkeypatch.setattr(densmat, "_factored_grid", recording)
         p_grid = np.linspace(pk.p0 - 6 * pk.delta_p, pk.p0 + 6 * pk.delta_p, n)
         q_grid = mean_displacement(pk, f) + np.linspace(-6.0, 6.0, n) * width_t(pk, f)
         got = [rho_p_matrix(p_grid, pk, f, MAX_PHASE), rho_r_matrix(q_grid, pk, f)]
@@ -323,9 +323,12 @@ class TestBlockedGrid:
         pk, f = self._cases()[case]
         p_grid = np.linspace(pk.p0 - 6 * pk.delta_p, pk.p0 + 6 * pk.delta_p, n)
         whole = rho_p_matrix(p_grid, pk, f, MAX_PHASE)
+        blocks = []
+        # rows are one reused buffer: keep a copy of each block as it is passed
+        assert rho_p_matrix(p_grid, pk, f, MAX_PHASE, each_block=lambda lo, hi, rows:
+                            blocks.append((lo, hi, rows.copy()))) is None
         covered = 0
-        for lo, hi, rows in densmat._grid_blocks(
-                *densmat._rho_p_args(p_grid, pk, f), MAX_PHASE)():
+        for lo, hi, rows in blocks:
             assert lo == covered and rows.shape == (hi - lo, n)
             assert np.array_equal(rows.view(np.uint64), whole[lo:hi].view(np.uint64))
             assert np.all(np.diagonal(rows[:, lo:hi]).imag == 0.0)
@@ -358,19 +361,20 @@ class TestBlockedGrid:
         assert peak < 1024 * 1024 * 8
 
     def test_phase_bound_fails_on_the_block_path_before_a_buffer_is_allocated(self):
-        # the bound is checked on the call, not on the first block; one block's
-        # buffers are about _BLOCK_BYTES (1 MiB) at N = 1024
+        # the bound is checked before the first block; one block's buffers are
+        # about _BLOCK_BYTES (1 MiB) at N = 1024
         pk = packet_1d(p0=0.1)
         f = DecoherenceFactors(t=1e20, gamma_vac=50.0, gamma_th=0.0, gamma=50.0, phi=-1e20)
         grid = np.linspace(0.1 - 4 * pk.delta_p, 0.1 + 4 * pk.delta_p, 1024)
+        blocks = []
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match="phase of rho"):
-                densmat._grid_blocks(*densmat._rho_p_args(grid, pk, f), MAX_PHASE)
+                rho_p_matrix(grid, pk, f, MAX_PHASE, each_block=blocks.append)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < densmat._BLOCK_BYTES // 4
+        assert peak < densmat._BLOCK_BYTES // 4 and not blocks
 
 
 class TestFigureThreeProperty:

@@ -313,8 +313,8 @@ class TestTransformOracle:
                            fourier_rho_r(packet, f, p_grid, q_grid), rtol=0, atol=1e-12)
 
     def test_rho_p_mutant_fails_verify(self, monkeypatch, capsys):
-        # one token of rho_p's phase, -packet.r0 -> +packet.r0, in the one mapping that
-        # rho_p_matrix and the direct check share: invisible to the transform (the oracle
+        # one token of rho_p's phase, -packet.r0 -> +packet.r0, in rho_p_matrix, which
+        # both rho --rep p and the direct check call: invisible to the transform (the oracle
         # builds its own rho_p) and at r0 = 0, so it is the direct rho_p comparison on a
         # packet with r0 != 0 that must fail verify
         real_build = cli.cfg.build_params
@@ -326,12 +326,12 @@ class TestTransformOracle:
             make_params(), 1e-18)
         grid = np.linspace(-0.5, 0.6, 33)
         written = densmat.rho_p_matrix(grid, pk, f)
-        source = inspect.getsource(densmat._rho_p_args)
+        source = inspect.getsource(densmat.rho_p_matrix)
         mutated = source.replace("-packet.r0", "+packet.r0")
         assert inspect.getsource(densmat).count("-packet.r0") == 1 and mutated != source
         namespace = dict(vars(densmat))
         exec(mutated, namespace)
-        monkeypatch.setattr(densmat, "_rho_p_args", namespace["_rho_p_args"])
+        monkeypatch.setattr(densmat, "rho_p_matrix", namespace["rho_p_matrix"])
         assert not np.allclose(densmat.rho_p_matrix(grid, pk, f), written)
         capsys.readouterr()
         assert cli.main(["verify"]) == cli.EXIT_VERIFY
