@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import sys
 import warnings
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import config as cfg
 from . import densmat, field, observables, oracle
+from .csvbytes import float_bytes, float_template, text_bytes
 from .decoherence import DecoherenceFactors, coupling_scale, log_sinhc, log_sqrt_one_plus_sq
 from .densmat import GaussianPacket
 from .params import (DipoleValidityWarning, DomainError, ModelParams, validity_bound,
@@ -43,7 +45,7 @@ EXIT_VERIFY = 3
 EXIT_IO = 4
 
 RHO_MAX_POINTS = 1001   # rho writes points^2 rows: ~1e6 rows, ~110 MB of CSV at the cap,
-                        # from a run that peaks at ~54 MB resident, set by the CSV writing
+                        # from a run that peaks at ~55 MB resident, set by the grid build
 
 
 class UsageError(Exception):
@@ -76,9 +78,9 @@ def _fmt(value: float, sigfigs: int) -> str:
     return f"{value:.{sigfigs - 1}e}"
 
 
-# printf format of a column by dtype kind; any other kind is a float
-_COLUMN_FORMATS = {"U": "%s", "i": "%d"}
-_BLOCK_ROWS = 1 << 14
+_BLOCK_ROWS = 1 << 14      # most rows in one block of write_csv
+_BLOCK_BYTES = 1 << 17     # line-buffer bytes of one block: with its mask and temporaries
+                           # about 0.6 MiB, so write_csv adds nothing to a run's peak RSS
 
 
 class _Table:
@@ -105,59 +107,73 @@ def _csv_text(column: np.ndarray) -> np.ndarray:
 
 def write_csv(out, comments: list[str], header: list[str], rows, sigfigs: int) -> None:
     """Write a CSV to the path `out`, or to stdout when it is None. rows is a
-    _Table (see _table) or a list of rows. Each column has one printf format:
-    %s for text, %d for integers, %.{sigfigs-1}e for floats (which writes nan
-    and inf as such), text quoted by _csv_text. Key columns are formatted once per
-    value, into one template per block of an outer row's lines that its cells fill."""
+    _Table (see _table) or a list of rows. Each cell is written as printf would:
+    %s for text (quoted by _csv_text), %d for integers and %.{sigfigs-1}e for
+    floats (nan and inf as such; see float_bytes).
+
+    The rows go out in blocks through one reused line buffer of fixed-width
+    fields and its mask of the bytes in use. Finite float cells are formatted
+    into it per block, each run of adjacent ones at once; keys, text,
+    integers and other floats are formatted once per value and gathered into it
+    by row index. Each block is one boolean compress and one write."""
     if isinstance(rows, _Table):
         table = rows
     else:
         records = np.rec.fromrecords(rows, names=header)
         table = _Table([records[name] for name in header])
-    n_outer, n_inner = table.shape
-    columns = [_csv_text(c) if c.dtype.kind == "U" else c for c in table.columns]
-    fmts = [_COLUMN_FORMATS.get(c.dtype.kind, f"%.{sigfigs - 1}e") for c in columns]
-    ends = [","] * (len(fmts) - 1) + ["\n"]
-    # outer keys from the first one on are written once per outer row, between the inner
-    # text before them (heads) and after them (tails); a later outer key is a cell
-    kinds = ["cell" if c.shape == table.shape else "outer" if c.shape[1] == 1 else "inner"
-             for c in columns]
-    first = kinds.index("outer") if "outer" in kinds else len(kinds)
-    last = next((k for k in range(first, len(kinds)) if kinds[k] != "outer"), len(kinds))
-    kinds[last:] = ["cell" if k == "outer" else k for k in kinds[last:]]
-    cells = [np.broadcast_to(c, table.shape) for c, k in zip(columns, kinds) if k == "cell"]
-
-    def texts(ks, n, axis):
-        """The text of columns ks on each of the n rows of an axis: a key's values,
-        each formatted once and escaped for the template, or a cell's format."""
-        if all(kinds[k] == "cell" for k in ks):
-            return ["".join(fmts[k] + ends[k] for k in ks)] * n
-        parts = []
-        for k in ks:
-            if kinds[k] == "cell":
-                parts.append([fmts[k] + ends[k]] * n)
-                continue
-            values = columns[k][:, 0] if axis == 0 else columns[k][0]
-            keys = [(fmts[k] % v).replace("%", "%%") + ends[k] for v in values.tolist()]
-            parts.append(keys if len(keys) == n else keys * n)
-        return ["".join(line) for line in zip(*parts)]
-
-    heads = texts(range(first), n_inner, 1)
-    tails = texts(range(last, len(kinds)), n_inner, 1)
-    glue = [t + h for t, h in zip(tails, heads[1:])]
-    outer = texts(range(first, last), n_outer, 0)
+    n_inner = table.shape[1]
+    # per column: its field's offset and width, its values, and either None (finite float
+    # cells, formatted per block) or its values formatted once, with their masks and the
+    # map from the column's flat index to them
+    fields, width = [], 0
+    for c in table.columns:
+        if c.dtype.kind in "Ui":
+            values = c.ravel().tolist()
+            distinct = {v: i for i, v in enumerate(dict.fromkeys(values))}
+            texts = (_csv_text(np.array(list(distinct), dtype=str)).tolist()
+                     if c.dtype.kind == "U" else ["%d" % v for v in distinct])
+            formatted = (*text_bytes(texts), np.array([distinct[v] for v in values], np.intp))
+        elif c.shape == table.shape and c.size and np.isfinite([c.min(), c.max()]).all():
+            formatted, c = None, c.reshape(-1)
+        else:
+            formatted = (*float_bytes(c.reshape(-1), sigfigs), np.arange(c.size))
+        w = sigfigs + 7 if formatted is None else formatted[0].shape[1]
+        fields.append((width, w, c, formatted))
+        width += w + 1
+    n_block = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // width, len(table)))
+    line, used = np.empty((n_block, width), np.uint8), np.ones((n_block, width), bool)
+    for o, w, c, formatted in fields:   # separators, the cells' constant bytes, constants
+        line[:, o + w] = ord(",")
+        if formatted is None:
+            line[:, o:o + w] = float_template((), sigfigs)[0]
+        elif c.size == 1:
+            line[:, o:o + w], used[:, o:o + w] = formatted[0][0], formatted[1][0]
+    line[:, -1] = ord("\n")
+    keys = [f for f in fields if f[3] is not None and f[2].size > 1]
+    # adjacent cell columns are formatted in one call, as a (rows, n) array
+    runs = [[f[:3] for f in run] for cell, run in itertools.groupby(
+        fields, key=lambda f: f[3] is None) if cell]
     head = "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
-    with (contextlib.nullcontext(sys.stdout) if out is None
-          else open(out, "w", encoding="utf-8")) as fh:
-        fh.write(head)
-        for i, keys in enumerate(outer):
-            for start in range(0, n_inner, _BLOCK_ROWS):
-                stop = min(start + _BLOCK_ROWS, n_inner)
-                values = [None] * (len(cells) * (stop - start))
-                for k, cell in enumerate(cells):
-                    values[k::len(cells)] = cell[i, start:stop].tolist()
-                template = keys.join([heads[start], *glue[start:stop - 1], tails[stop - 1]])
-                fh.write(template % tuple(values))
+    if out is None:   # bytes go to stdout's binary buffer, or as text where it has none
+        sys.stdout.flush()
+    with (contextlib.nullcontext(getattr(sys.stdout, "buffer", None)) if out is None
+          else open(out, "wb")) as stream:
+        write = stream.write if stream is not None else lambda b: sys.stdout.write(str(b, "utf-8"))
+        write(head.encode("utf-8"))
+        for start in range(0, len(table), n_block):
+            stop = min(start + n_block, len(table))
+            buf, mask = line[:stop - start], used[:stop - start]
+            outer, inner = np.divmod(np.arange(start, stop), n_inner)
+            for o, w, c, (chars, masks, index) in keys:
+                rows_, cols_ = c.shape
+                at = index[(outer if rows_ > 1 else 0) * cols_ + (inner if cols_ > 1 else 0)]
+                buf[:, o:o + w], mask[:, o:o + w] = chars.take(at, axis=0), masks.take(at, axis=0)
+            for run in runs:
+                (o, w, _), span = run[0], len(run) * (run[0][1] + 1)
+                float_bytes(np.stack([c[start:stop] for _, _, c in run], axis=1), sigfigs,
+                            (buf[:, o:o + span].reshape(len(buf), -1, w + 1)[..., :w],
+                             mask[:, o:o + span].reshape(len(buf), -1, w + 1)[..., :w]))
+            write(buf[mask])
 
 
 def _table(header: list[str], columns) -> _Table:

@@ -424,10 +424,13 @@ class OracleReport:
 
     @classmethod
     def compare(cls, quantity: str, closed: float, oracle_val: float, tolerance: float,
-                panels: int, detail: str = "") -> "OracleReport":
+                panels: int, scale: float, detail: str = "") -> "OracleReport":
+        """Pass within tolerance * |closed|, or within a floor of min(1e-13, tolerance *
+        scale), scale the quantity's largest |closed| over its points, so that a
+        quantity near zero in its own unit is still checked."""
         abs_err = abs(closed - oracle_val)
         rel_err = abs_err / abs(closed) if closed != 0.0 else math.inf
-        passed = abs_err <= max(tolerance * abs(closed), 1e-13)   # absolute floor
+        passed = abs_err <= max(tolerance * abs(closed), min(1e-13, tolerance * scale))
         return cls(quantity, closed, oracle_val, abs_err,
                    rel_err if closed != 0.0 else abs_err, tolerance, panels, passed, detail)
 
@@ -482,20 +485,26 @@ def run_all(params: ModelParams, t_grid_seconds) -> list[OracleReport]:
         tol = ORACLE_CHECKS[quantity][1]
         if quantity in ("gamma_th", "gamma_total_spectral"):
             tol = thermal_tolerance(theta, tol)
-        rows = []
+        points = []
         for tau in grid:
             try:
-                res = quad_fn(tau)
-                row = OracleReport.compare(
-                    quantity, closed_fn(tau), res.value, tol, res.panels,
-                    detail=detail or f"worst over {len(grid)}-point grid")
-                if not res.converged:
-                    row.passed = False
-                    row.detail = f"oracle did not converge at tau = {tau:g}; {row.detail}"
-                rows.append(row)
+                points.append((tau, quad_fn(tau), closed_fn(tau)))
             except (QuadratureError, DomainError) as exc:
+                points.append((tau, exc, math.nan))
+        scale = max((abs(c) for _, _, c in points if math.isfinite(c)), default=0.0)
+        rows = []
+        for tau, res, closed in points:
+            if isinstance(res, Exception):
                 rows.append(OracleReport(quantity, math.nan, math.nan, math.inf,
-                                         math.inf, tol, 0, False, f"error: {exc}"))
+                                         math.inf, tol, 0, False, f"error: {res}"))
+                continue
+            row = OracleReport.compare(
+                quantity, closed, res.value, tol, res.panels, scale,
+                detail=detail or f"worst over {len(grid)}-point grid")
+            if not res.converged:
+                row.passed = False
+                row.detail = f"oracle did not converge at tau = {tau:g}; {row.detail}"
+            rows.append(row)
         reports.append(_worst(rows))
 
     # the vacuum factor and the photon number share one frequency integral:
@@ -533,9 +542,10 @@ def run_all(params: ModelParams, t_grid_seconds) -> list[OracleReport]:
              2.0 * decoherence.gamma_vac_factor(params, t) * p_bar**2, f"p_bar = {p_bar:g}"),
             ("field_mass_identity", fieldmod.mean_field_energy(params, p_bar, t),
              kin * 2.0 * observables.mass_shift(params, t) / params.mass0, "")):
+        scale = float(np.max(np.abs(closed), where=np.isfinite(closed), initial=0.0))
         reports.append(_worst([
             OracleReport.compare(quantity, float(c), float(i), ORACLE_CHECKS[quantity][1], 0,
-                                 detail=detail) for c, i in zip(closed, ident)]))
+                                 scale, detail=detail) for c, i in zip(closed, ident)]))
     return reports
 
 

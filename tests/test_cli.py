@@ -732,3 +732,56 @@ class TestCsvWriter:
                                               r"\(first: row 1, value inf\)"):
             cli._table(["a", "b", "c"], [np.arange(2.0)[:, None], [0.0, np.inf, np.inf],
                                          np.ones((2, 3))])
+
+
+class TestByteWriter:
+    """write_csv's blocks: Python-formatted rows, wide exponents, non-finite cells and
+    every output stream give the bytes of row formatting."""
+
+    def test_python_rows_and_wide_exponents_across_blocks(self, monkeypatch, capsys):
+        # ties (Python-formatted at 2 digits), zeros and 3-digit exponents in every
+        # column, in rows that later blocks reuse for ordinary values
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+        cells = np.array([[0.125, 1.25, -0.0, 2.5], [1e-150, -3.7, 0.0, 9.5],
+                          [4.1, 5.2, 6.3, 7.4], [-1e200, 0.15, 8.25, 1.0]])
+        header = ["k", "a", "b", "c", "d"]
+        table = cli._table(header, [np.array([0.35, -1e-120, 2.0, 0.0])[:, None],
+                                    *cells.T])
+        for sigfigs in (2, 3, 12):
+            cli.write_csv(None, ["c"], header, table, sigfigs)
+            assert capsys.readouterr().out == _row_formatted(["c"], header, table, sigfigs)
+
+    def test_non_finite_cells_across_blocks(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+        rows = [["a", 1.0, 3], ["b", math.nan, -4], ["c", math.inf, 5], ["d", -math.inf, 6],
+                ["e", 2.5e-300, 7]]
+        out = tmp_path / "x.csv"
+        cli.write_csv(str(out), [], ["name", "x", "n"], rows, 3)
+        assert out.read_text(encoding="utf-8") == "name,x,n\n" + "".join(
+            "%s,%.2e,%d\n" % tuple(r) for r in rows)
+
+    def test_stdout_without_a_binary_buffer(self, monkeypatch):
+        import io
+        text = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", text)
+        table = cli._table(["a", "b"], [np.array(["x%s", "z"])[:, None], np.array([1.5, -2.0])])
+        cli.write_csv(None, ["c"], ["a", "b"], table, 4)
+        assert text.getvalue() == _row_formatted(["c"], ["a", "b"], table, 4)
+
+    def test_peak_memory_on_a_rho_grid(self, tmp_path):
+        # a 201 x 201 rho table: the writer's own allocations stay near one block's
+        # line buffer, its mask and their temporaries (about 0.6 MiB), never a column
+        import tracemalloc
+        grid = np.linspace(-0.3, 0.3, 201)
+        matrix = np.exp(1j * np.outer(grid, grid)) * np.exp(-np.add.outer(grid, grid) ** 2)
+        header = ["t_s", "p", "p_prime", "re", "im", "abs"]
+        table = cli._table(header, [1e-19, grid[:, None], grid, matrix.real, matrix.imag,
+                                    np.abs(matrix)])
+        cli.write_csv(str(tmp_path / "warm.csv"), [], header, table, 12)
+        tracemalloc.start()
+        try:
+            cli.write_csv(str(tmp_path / "x.csv"), [], header, table, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qed_decoherence import cli, densmat
+from qed_decoherence import field as fieldmod
 from qed_decoherence import decoherence as dec
 from qed_decoherence import oracle
 from qed_decoherence.decoherence import DecoherenceFactors
@@ -466,15 +467,42 @@ class TestRunAll:
 
 class TestOracleReport:
     def test_pass_relative(self):
-        r = OracleReport.compare("x", 2.0, 2.0 + 1e-10, 1e-8, 3)
+        r = OracleReport.compare("x", 2.0, 2.0 + 1e-10, 1e-8, 3, scale=2.0)
         assert r.passed and r.rel_err == pytest.approx(5e-11)
 
     def test_fail_relative(self):
-        r = OracleReport.compare("x", 2.0, 2.0 + 1e-6, 1e-8, 3)
+        r = OracleReport.compare("x", 2.0, 2.0 + 1e-6, 1e-8, 3, scale=2.0)
         assert not r.passed
 
     def test_near_zero_uses_absolute_floor(self):
-        r = OracleReport.compare("x", 0.0, 5e-14, 1e-8, 1)
+        # at closed = 0 the floor is min(1e-13, tolerance * scale), scale the quantity's
+        # largest |closed| over its points: absolute only for a quantity of order one
+        r = OracleReport.compare("x", 0.0, 5e-14, 1e-8, 1, scale=1.0)
         assert r.passed
-        r2 = OracleReport.compare("x", 0.0, 5e-9, 1e-8, 1)
+        r2 = OracleReport.compare("x", 0.0, 5e-9, 1e-8, 1, scale=1.0)
         assert not r2.passed
+        # a quantity of order 1e-21 (joules) gets a floor of 1e-29, not 1e-13
+        assert not OracleReport.compare("x", 0.0, 5e-14, 1e-8, 1, scale=1e-21).passed
+        assert OracleReport.compare("x", 0.0, 5e-30, 1e-8, 1, scale=1e-21).passed
+
+    def test_floor_never_passes_a_tiny_quantity_at_any_relative_error(self):
+        # the identity rows' values are ~1e-21 J: a 50% error is far above the floor
+        r = OracleReport.compare("x", 2e-21, 3e-21, 1e-12, 0, scale=2e-21)
+        assert not r.passed and r.rel_err == pytest.approx(0.5)
+
+    def test_field_energy_mutant_fails_verify(self, monkeypatch, capsys):
+        # 8.0 for 4.0 in field.mean_field_energy doubles the cloud energy: only the
+        # field_mass_identity row sees it, at rel_err 0.5 on values of ~1e-21 J, which
+        # an absolute 1e-13 floor passed
+        source = inspect.getsource(fieldmod.mean_field_energy)
+        mutated = source.replace("4.0 * coupling_scale", "8.0 * coupling_scale")
+        assert mutated != source
+        namespace = dict(vars(fieldmod))
+        exec(mutated, namespace)
+        monkeypatch.setattr(fieldmod, "mean_field_energy", namespace["mean_field_energy"])
+        capsys.readouterr()
+        assert cli.main(["verify"]) == cli.EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert out.endswith("FAILED: field_mass_identity\n")
+        row = next(ln for ln in out.splitlines() if ln.startswith("field_mass_identity"))
+        assert "5.00e-01" in row and row.rstrip().endswith("FAIL")
